@@ -732,14 +732,15 @@ func BenchmarkFigSweepMemoWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkUAAFastPath measures the event-driven UAA engine.
-func BenchmarkUAAFastPath(b *testing.B) {
+// BenchmarkUAALifetime measures one uncancelable UAA lifetime of the
+// default-scale Max-WE system on the batched direct loop.
+func BenchmarkUAALifetime(b *testing.B) {
 	s := benchSetup()
 	p := s.Profile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
-		if _, err := sim.RunUAAFast(p, sch); err != nil {
+		if _, err := sim.Run(sim.Config{Profile: p, Scheme: sch, Attack: attack.NewUAA()}); err != nil {
 			b.Fatal(err)
 		}
 	}

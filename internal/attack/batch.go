@@ -5,29 +5,14 @@ package attack
 // observationally identical to len(dst) successive Next(n) calls — same
 // addresses, same internal state afterwards — so the sim engine can swap
 // freely between the per-write and the batched path. The logical-space
-// size n is fixed for the duration of one batch; callers simulating
-// capacity shrink (PCD) must not use the batched path (internal/sim
-// routes those configurations through the per-write loops).
+// size n is fixed for the duration of one batch, so a caller simulating
+// capacity shrink (PCD) may batch only writes that cannot shrink the
+// space and must fall back to Next across a possible wear-out.
 type BatchAttack interface {
 	Attack
 	// NextBatch fills dst with the next len(dst) logical lines, each in
 	// [0, n). It must equal len(dst) successive Next(n) calls.
 	NextBatch(n int, dst []int)
-}
-
-// CyclicAttack is an optional extension of Attack for generators whose
-// address stream is periodic and state-neutral: from any internal state,
-// emitting one full period of writes touches a fixed multiset of slots
-// and returns the generator to the same state. The fast-forward engine
-// (internal/sim) uses this to skip whole quiescent periods in O(1) —
-// bulk-adding counts to the device without consuming generator state.
-type CyclicAttack interface {
-	Attack
-	// Cycle describes one period of the stream at logical-space size n:
-	// the period length in writes and a length-n slice of per-slot write
-	// counts summing to the period. The description must stay valid until
-	// n changes or a non-Cycle method is called.
-	Cycle(n int) (period int64, counts []int64)
 }
 
 // NextBatch implements BatchAttack: a uniform sweep with PCD wrap,
@@ -44,17 +29,6 @@ func (a *UAA) NextBatch(n int, dst []int) {
 			a.next = 0
 		}
 	}
-}
-
-// Cycle implements CyclicAttack: one period sweeps every slot exactly
-// once and returns the cursor to its starting position.
-func (a *UAA) Cycle(n int) (int64, []int64) {
-	checkN(n)
-	counts := make([]int64, n)
-	for i := range counts {
-		counts[i] = 1
-	}
-	return int64(n), counts
 }
 
 // NextBatch implements BatchAttack with the coverage limit hoisted out of
@@ -75,21 +49,6 @@ func (a *PartialUAA) NextBatch(n int, dst []int) {
 			a.next = 0
 		}
 	}
-}
-
-// Cycle implements CyclicAttack: one period sweeps the covered prefix
-// exactly once; slots past the coverage limit are never written.
-func (a *PartialUAA) Cycle(n int) (int64, []int64) {
-	checkN(n)
-	limit := int(a.coverage * float64(n))
-	if limit < 1 {
-		limit = 1
-	}
-	counts := make([]int64, n)
-	for i := 0; i < limit; i++ {
-		counts[i] = 1
-	}
-	return int64(limit), counts
 }
 
 // NextBatch implements BatchAttack. Redraw boundaries land at exactly the
@@ -132,17 +91,6 @@ func (a *TargetedSweep) NextBatch(n int, dst []int) {
 	}
 }
 
-// Cycle implements CyclicAttack: one period is one pass over the target
-// list (targets folded modulo n may repeat a slot, so counts can exceed 1).
-func (a *TargetedSweep) Cycle(n int) (int64, []int64) {
-	checkN(n)
-	counts := make([]int64, n)
-	for _, t := range a.targets {
-		counts[t%n]++
-	}
-	return int64(len(a.targets)), counts
-}
-
 // NextBatch implements BatchAttack: the same folded address repeated.
 func (a *Repeated) NextBatch(n int, dst []int) {
 	checkN(n)
@@ -150,14 +98,6 @@ func (a *Repeated) NextBatch(n int, dst []int) {
 	for i := range dst {
 		dst[i] = v
 	}
-}
-
-// Cycle implements CyclicAttack: a one-write period on the folded target.
-func (a *Repeated) Cycle(n int) (int64, []int64) {
-	checkN(n)
-	counts := make([]int64, n)
-	counts[a.addr%n] = 1
-	return 1, counts
 }
 
 // NextBatch implements BatchAttack: per-element Zipf draws in stream

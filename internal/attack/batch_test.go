@@ -16,7 +16,7 @@ func batchPair() map[string][2]BatchAttack {
 			NewBPA(4, 17, xrand.New(seed)),
 			NewTargetedSweep([]int{3, 3, 9, 41, 0}),
 			NewRepeated(5),
-			NewHotCold(64, 1.2, xrand.New(seed + 1)),
+			NewHotCold(64, 1.2, xrand.New(seed+1)),
 			NewRandomUniform(xrand.New(seed + 2)),
 		}
 	}
@@ -59,60 +59,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			if g, w := batched.Next(n), perWrite.Next(n); g != w {
 				t.Fatalf("%s: post-batch state diverged at write %d: %d != %d", name, i, g, w)
-			}
-		}
-	}
-}
-
-// cyclicCases builds every CyclicAttack implementation.
-func cyclicCases() []CyclicAttack {
-	return []CyclicAttack{
-		NewUAA(),
-		NewPartialUAA(0.5),
-		NewPartialUAA(0.01), // limit clamps to 1
-		NewTargetedSweep([]int{2, 7, 7, 100}),
-		NewRepeated(3),
-	}
-}
-
-// Cycle must describe the stream exactly: from any mid-stream state, one
-// period of Next calls hits each slot counts[u] times and returns the
-// generator to an equivalent state (the following period is identical).
-func TestCycleDescribesStream(t *testing.T) {
-	const n = 24
-	for _, att := range cyclicCases() {
-		// Desynchronize: start mid-cycle.
-		for i := 0; i < 5; i++ {
-			att.Next(n)
-		}
-		period, counts := att.Cycle(n)
-		if len(counts) != n {
-			t.Fatalf("%s: counts length %d != n %d", att.Name(), len(counts), n)
-		}
-		var sum int64
-		for _, c := range counts {
-			sum += c
-		}
-		if sum != period {
-			t.Fatalf("%s: counts sum %d != period %d", att.Name(), sum, period)
-		}
-		first := make([]int, period)
-		got := make([]int64, n)
-		for i := range first {
-			first[i] = att.Next(n)
-			got[first[i]]++
-		}
-		for u := 0; u < n; u++ {
-			if got[u] != counts[u] {
-				t.Fatalf("%s: slot %d written %d times in one period, Cycle says %d",
-					att.Name(), u, got[u], counts[u])
-			}
-		}
-		// State-neutrality: the second period repeats the first verbatim.
-		for i := range first {
-			if v := att.Next(n); v != first[i] {
-				t.Fatalf("%s: period not state-neutral at write %d: %d != %d",
-					att.Name(), i, v, first[i])
 			}
 		}
 	}

@@ -56,15 +56,23 @@ func safeWrites(core *device.Core, slotLine []int32) int64 {
 	return min - 1
 }
 
-// runBatchedDirect is the unleveled, fault-free SoA loop for capacity-
-// stable schemes (everything but PCD). Epochs of at most epochSize
-// addresses are pulled in one NextBatch call; quiescent epochs run an
-// unchecked increment-only loop, the rest replicate Device.Write inline.
+// runBatchedDirect is the unleveled, fault-free SoA loop. Epochs of at
+// most epochSize writes run either an unchecked increment-only loop, when
+// no bound line can wear out within the epoch, or a checked loop that
+// replicates Device.Write inline.
+//
+// PCD shrinks the user space inside OnWearOut, so its checked epochs draw
+// each address with Next at the current capacity instead of one NextBatch
+// at the epoch's starting size; quiescent epochs contain no wear-out and
+// keep the batch. After every wear-out slotLine is truncated to the new
+// capacity, and the worn slot's binding is refreshed only if the slot is
+// still in the space (PCD drops it when it was the last slot).
 func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	scheme := e.scheme
 	core := dev.Core()
 	maxWrites := cfg.MaxUserWrites
 	done := cfg.Done
+	_, pcd := scheme.(*spare.PCDScheme)
 	userLines := scheme.UserLines()
 	if userLines == 0 {
 		e.failed = true
@@ -80,7 +88,7 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 		// userWrites is a multiple of epochSize at every epoch start (a
 		// short final epoch only happens at the MaxUserWrites boundary,
 		// which returns above), so this polls at exactly the reference
-		// loops' userWrites&1023 == 0 indexes.
+		// loop's userWrites&1023 == 0 indexes.
 		if done != nil {
 			select {
 			case <-done:
@@ -93,10 +101,10 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 			size = int(maxWrites - userWrites)
 		}
 		b := batch[:size]
-		att.NextBatch(userLines, b)
 		if quiescent >= int64(size) {
 			// No bound line can reach its budget within this epoch: skip
 			// the wear-out compare entirely.
+			att.NextBatch(userLines, b)
 			for _, u := range b {
 				core.Writes[slotLine[u]]++
 			}
@@ -105,8 +113,15 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 			quiescent -= int64(size)
 			continue
 		}
+		if !pcd {
+			att.NextBatch(userLines, b)
+		}
 		wore := false
-		for _, u := range b {
+		for i := range b {
+			u := b[i]
+			if pcd {
+				u = att.Next(userLines)
+			}
 			line := slotLine[u]
 			core.Writes[line]++
 			core.Total++
@@ -120,15 +135,25 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 					e.failed = true
 					return userWrites, false
 				}
-				slotLine[u] = int32(scheme.Access(u))
+				userLines = scheme.UserLines()
+				slotLine = slotLine[:userLines]
+				if u < userLines {
+					slotLine[u] = int32(scheme.Access(u))
+				}
 			}
 		}
-		if wore {
-			quiescent = safeWrites(core, slotLine)
-		} else {
+		switch {
+		case !wore:
 			// Still a valid lower bound: each write spends at most one
 			// unit of any line's remaining budget.
 			quiescent -= int64(size)
+		case pcd:
+			// Under PCD wear-outs cluster once they begin, and an O(lines)
+			// rescan after each of them costs more than it saves: every
+			// later epoch runs checked.
+			quiescent = 0
+		default:
+			quiescent = safeWrites(core, slotLine)
 		}
 	}
 }

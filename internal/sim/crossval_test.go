@@ -1,10 +1,9 @@
-// crossval_test.go cross-validates the struct-of-arrays batched engine
-// (batch.go) and the generalized cyclic fast-forward (fastforward.go)
-// against the pre-refactor per-write engine, kept in-test as
-// referenceRunDetailed (optim_test.go). The bar is exact Result equality
-// — bit-identical, not approximate — across the full attack × scheme ×
-// leveler matrix, MaxUserWrites truncation edges, cancellation, and
-// per-line device state.
+// crossval_test.go cross-validates the struct-of-arrays batched loops
+// (batch.go) against the pre-refactor per-write engine, kept in-test as
+// referenceRunDetailed (optim_test.go), and against runGeneral. The bar
+// is exact Result equality — bit-identical, not approximate — across the
+// full attack × scheme × leveler matrix, MaxUserWrites truncation edges,
+// cancellation, and per-line device state.
 package sim
 
 import (
@@ -20,11 +19,11 @@ import (
 	"maxwe/internal/xrand"
 )
 
-// plainAttack hides an attack's BatchAttack/CyclicAttack extensions so a
-// config is forced onto the legacy per-write loops (runDirect/runGeneral)
-// — the second way, besides referenceRunDetailed, to obtain pre-refactor
-// behavior, and the only one that exposes the final device for per-line
-// comparison through the public API.
+// plainAttack hides an attack's BatchAttack extension so a config is
+// forced onto the per-write loop (runGeneral) — the second way, besides
+// referenceRunDetailed, to obtain per-write behavior, and the only one
+// that exposes the final device for per-line comparison through the
+// public API.
 type plainAttack struct{ inner attack.Attack }
 
 func (a plainAttack) Name() string   { return a.inner.Name() }
@@ -108,11 +107,10 @@ func buildCrossval(p *endurance.Profile, ak, sk, lk string, maxWrites int64) Con
 // combination (PCD only unleveled, as validate requires) through the
 // refactored RunDetailed and the pre-refactor reference, demanding exact
 // Result equality. This is a superset of every combination optim_test.go
-// exercises and covers all three new paths: runCyclic (uaa/partial-uaa/
-// repeated/targeted-sweep unleveled), runBatchedDirect (bpa/hotcold/
-// random on capacity-stable schemes), and runBatchedLeveled (every
-// leveled row, including the SwapWL and Identity devirtualizations and
-// the generic interface fallback).
+// exercises and covers both batched loops: runBatchedDirect (every
+// unleveled row, PCD's shrinking capacity included) and runBatchedLeveled
+// (every leveled row, including the SwapWL and Identity
+// devirtualizations and the generic interface fallback).
 func TestBatchedEngineFullMatrix(t *testing.T) {
 	p := optimProfile()
 	for _, ak := range crossvalAttacks {
@@ -138,13 +136,14 @@ func TestBatchedEngineFullMatrix(t *testing.T) {
 	}
 }
 
-// TestCyclicFastForwardCapEdges sweeps MaxUserWrites across period
-// boundaries, epoch boundaries, and the exact failure write of every
-// cyclic attack × scheme pair: the fast-forward's bulk skip and tail must
-// truncate at precisely the same write as the per-write reference.
-func TestCyclicFastForwardCapEdges(t *testing.T) {
+// TestUnleveledCapEdges sweeps MaxUserWrites across small caps, epoch
+// boundaries, and the exact failure write of every attack × scheme pair
+// without a leveler: the batched direct loop's short final epoch must
+// truncate at precisely the same write as the per-write reference, PCD's
+// per-write draws included.
+func TestUnleveledCapEdges(t *testing.T) {
 	p := optimProfile()
-	for _, ak := range []string{"uaa", "partial-uaa", "repeated", "targeted-sweep"} {
+	for _, ak := range crossvalAttacks {
 		for _, sk := range allSchemeKinds {
 			full, _, err := RunDetailed(buildCrossval(p, ak, sk, "", 0))
 			if err != nil {
@@ -184,9 +183,11 @@ func TestBatchedDoneSemantics(t *testing.T) {
 	close(closed)
 	open := make(chan struct{})
 	cases := []struct{ ak, sk, lk string }{
-		{"uaa", "maxwe", ""},      // cyclic attack forced onto the batched path by Done
+		{"uaa", "maxwe", ""},      // batched direct
 		{"bpa", "maxwe", "tlsr"},  // batched leveled
 		{"random", "ps-best", ""}, // batched direct
+		{"uaa", "pcd", ""},        // batched direct, per-write draws under PCD
+		{"bpa", "pcd", ""},
 	}
 	for _, tc := range cases {
 		name := tc.ak + "/" + tc.sk + "/" + tc.lk
@@ -217,11 +218,10 @@ func TestBatchedDoneSemantics(t *testing.T) {
 }
 
 // TestBatchedPerLineStateMatchesPerWrite compares the refactored engine
-// against the legacy loops at per-line granularity: same Result AND the
+// against the per-write loop at per-line granularity: same Result AND the
 // same writes counter and worn flag on every physical line. plainAttack
-// strips the batch/cyclic interfaces so the second run takes the old
-// runDirect/runGeneral path through the public API, which returns its
-// device for inspection.
+// strips the batch interface so the second run takes the runGeneral path
+// through the public API, which returns its device for inspection.
 func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 	p := optimProfile()
 	cases := []struct{ ak, sk, lk string }{
@@ -229,6 +229,7 @@ func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 		{"partial-uaa", "ps-random", ""}, {"targeted-sweep", "pcd", ""},
 		{"bpa", "maxwe", "tlsr"}, {"bpa", "ps-worst", "wawl"},
 		{"random", "maxwe", "identity"}, {"hotcold", "maxwe", "start-gap"},
+		{"hotcold", "pcd", ""},
 	}
 	for _, tc := range cases {
 		name := tc.ak + "/" + tc.sk + "/" + tc.lk

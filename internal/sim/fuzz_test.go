@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"maxwe/internal/attack"
@@ -107,6 +108,57 @@ func FuzzFaultPlan(f *testing.F) {
 		if res.Faults.MetadataRepairs != res.Faults.MetadataFaults {
 			t.Fatalf("metadata repairs %d != faults %d",
 				res.Faults.MetadataRepairs, res.Faults.MetadataFaults)
+		}
+	})
+}
+
+// FuzzUnleveledMatchesPerWrite is the differential fuzz of the batched
+// direct loop against the per-write reference: an arbitrary attack ×
+// scheme × cap without a leveler must leave the same Result and the same
+// writes counter and worn flag on every line as the same config with its
+// batch interface hidden (plainAttack), which runs runGeneral. The
+// endurance floor decides whether the run opens with quiescent epochs (a
+// floor above epochSize) or checks every write. The first four seeds
+// below wear out the last slot of PCD's shrinking space one to three
+// times each, the third and fourth after a quiescent first epoch.
+func FuzzUnleveledMatchesPerWrite(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(7), uint16(0), uint16(0))
+	f.Add(uint64(4), uint8(2), uint8(7), uint16(0), uint16(0))
+	f.Add(uint64(1), uint8(6), uint8(7), uint16(1095), uint16(0))
+	f.Add(uint64(8), uint8(5), uint8(7), uint16(1095), uint16(0))
+	f.Add(uint64(2), uint8(4), uint8(7), uint16(0), uint16(500))
+	f.Add(uint64(3), uint8(5), uint8(1), uint16(0), uint16(1025))
+	f.Add(uint64(6), uint8(1), uint8(2), uint16(1095), uint16(3000))
+	f.Fuzz(func(t *testing.T, seed uint64, ak, sk uint8, floor, maxW uint16) {
+		akind := crossvalAttacks[int(ak)%len(crossvalAttacks)]
+		skind := allSchemeKinds[int(sk)%len(allSchemeKinds)]
+		lo := 5 + float64(floor%2048)
+		p := endurance.Linear(8, 8, lo, lo+245).Shuffled(xrand.New(seed))
+		build := func() Config {
+			cfg := buildCrossval(p, akind, skind, "", int64(maxW))
+			cfg.Attack = buildAttack(akind, cfg.Scheme.UserLines(), seed+3)
+			return cfg
+		}
+		got, gotDev, err := RunDetailed(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		perWrite := build()
+		perWrite.Attack = plainAttack{inner: perWrite.Attack}
+		want, wantDev, err := RunDetailed(perWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s/%s floor %v cap %d", akind, skind, lo, maxW)
+		if got != want {
+			t.Fatalf("%s: batched %+v != per-write %+v", name, got, want)
+		}
+		for line := 0; line < p.Lines(); line++ {
+			if gotDev.Writes(line) != wantDev.Writes(line) || gotDev.Worn(line) != wantDev.Worn(line) {
+				t.Fatalf("%s: line %d diverged: %d/%v vs %d/%v", name, line,
+					gotDev.Writes(line), gotDev.Worn(line),
+					wantDev.Writes(line), wantDev.Worn(line))
+			}
 		}
 	})
 }

@@ -1,14 +1,11 @@
-// optim_test.go cross-validates the optimized hot paths against reference
-// implementations that replicate the pre-optimization code: the boxed
-// container/heap event queue, the map-based reverse maps in the UAA fast
-// path, and the single generic RunDetailed loop that routed every write
-// through engine.WriteSlot. The optimized paths must produce *identical*
-// Results — not merely close ones — on golden seeds.
+// optim_test.go holds referenceRunDetailed, an in-test copy of the
+// original single RunDetailed loop that routed every write through
+// engine.WriteSlot, and checks the optimized engine against it. The
+// optimized loops must produce *identical* Results — not merely close
+// ones — on golden seeds.
 package sim
 
 import (
-	"container/heap"
-	"math"
 	"testing"
 
 	"maxwe/internal/attack"
@@ -20,83 +17,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Reference implementations (pre-optimization behavior)
-
-// boxedEventHeap is the original container/heap-backed event queue.
-type boxedEventHeap []slotEvent
-
-func (h boxedEventHeap) Len() int            { return len(h) }
-func (h boxedEventHeap) Less(i, j int) bool  { return h[i].deathRound < h[j].deathRound }
-func (h boxedEventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxedEventHeap) Push(x interface{}) { *h = append(*h, x.(slotEvent)) }
-func (h *boxedEventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// referenceUAAFast is the original RunUAAFast: boxed heap, map reverse maps,
-// per-event UserLines() interface calls.
-func referenceUAAFast(p *endurance.Profile, scheme spare.Scheme) (Result, error) {
-	if p == nil {
-		return Result{}, errNilProfile
-	}
-	if scheme == nil {
-		return Result{}, errNilScheme
-	}
-	h := &boxedEventHeap{}
-	lineSlot := make(map[int]int, scheme.UserLines())
-	worn := make(map[int]bool)
-	for u := 0; u < scheme.UserLines(); u++ {
-		line := scheme.Access(u)
-		lineSlot[line] = u
-		heap.Push(h, slotEvent{deathRound: p.LineEndurance(line), line: line})
-	}
-
-	var userWrites, lastRound int64
-	failed := false
-	wornLines := 0
-	for h.Len() > 0 {
-		ev := heap.Pop(h).(slotEvent)
-		if worn[ev.line] {
-			continue
-		}
-		u, inService := lineSlot[ev.line]
-		if !inService {
-			continue
-		}
-		userWrites += (ev.deathRound - lastRound) * int64(scheme.UserLines())
-		lastRound = ev.deathRound
-		worn[ev.line] = true
-		wornLines++
-		delete(lineSlot, ev.line)
-		if !scheme.OnWearOut(u) {
-			failed = true
-			break
-		}
-		if _, pcd := scheme.(*spare.PCDScheme); pcd {
-			if u < scheme.UserLines() {
-				lineSlot[scheme.Access(u)] = u
-			}
-			continue
-		}
-		newLine := scheme.Access(u)
-		lineSlot[newLine] = u
-		heap.Push(h, slotEvent{deathRound: lastRound + p.LineEndurance(newLine), line: newLine})
-	}
-
-	return Result{
-		UserWrites:         userWrites,
-		DeviceWrites:       userWrites,
-		NormalizedLifetime: float64(userWrites) / p.Sum(),
-		WriteAmplification: 1,
-		WornLines:          wornLines,
-		SparesUsed:         scheme.SpareLinesUsed(),
-		Failed:             failed,
-	}, nil
-}
+// Reference implementation (pre-optimization behavior)
 
 // referenceRunDetailed is the original single RunDetailed loop: every write
 // routed through engine.WriteSlot, UserLines()/LogicalLines() re-read per
@@ -189,29 +110,12 @@ func buildScheme(p *endurance.Profile, kind string) spare.Scheme {
 var allSchemeKinds = []string{"none", "maxwe", "maxwe-allswr", "maxwe-alldyn",
 	"ps-worst", "ps-best", "ps-random", "pcd"}
 
-func TestRunUAAFastMatchesReferenceExactly(t *testing.T) {
-	p := optimProfile()
-	for _, kind := range allSchemeKinds {
-		got, err := RunUAAFast(p, buildScheme(p, kind))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		want, err := referenceUAAFast(p, buildScheme(p, kind))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if got != want {
-			t.Fatalf("%s: optimized %+v != reference %+v", kind, got, want)
-		}
-	}
-}
-
 func TestRunDetailedMatchesReferenceExactly(t *testing.T) {
 	p := optimProfile()
 	// Each case constructs fresh stateful components per run. The unleveled
-	// rows exercise the devirtualized runDirect loop across all four spare
-	// schemes; the leveled rows pin the general loop (and its hoisted
-	// LogicalLines) across all four levelers.
+	// rows exercise the batched direct loop across all four spare schemes,
+	// PCD's shrinking capacity included; the leveled rows pin the batched
+	// leveled loop across four levelers.
 	build := func(kind, lev string, attackSeed uint64) Config {
 		cfg := Config{Profile: p, Scheme: buildScheme(p, kind)}
 		if attackSeed == 0 {
@@ -264,114 +168,35 @@ func TestRunDetailedMatchesReferenceExactly(t *testing.T) {
 	}
 }
 
-func TestEventHeapMatchesContainerHeap(t *testing.T) {
-	// Interleaved pushes and pops with heavily duplicated keys: the
-	// hand-rolled heap must pop the same event as container/heap at every
-	// step, since equal-key pop order feeds back into scheme state.
-	src := xrand.New(99)
-	var a eventHeap
-	b := &boxedEventHeap{}
-	for i := 0; i < 2000; i++ {
-		ev := slotEvent{deathRound: int64(src.Intn(17)), line: i}
-		a.push(ev)
-		heap.Push(b, ev)
-		if src.Intn(3) == 0 {
-			got, want := a.pop(), heap.Pop(b).(slotEvent)
-			if got != want {
-				t.Fatalf("step %d: pop %+v, container/heap popped %+v", i, got, want)
-			}
-		}
-	}
-	for len(a) > 0 {
-		got, want := a.pop(), heap.Pop(b).(slotEvent)
-		if got != want {
-			t.Fatalf("drain: pop %+v, container/heap popped %+v", got, want)
-		}
-	}
-	if b.Len() != 0 {
-		t.Fatalf("heaps diverged in size: reference still holds %d", b.Len())
-	}
-}
-
-// TestRunUAAFastPCDLastSlotWearOut is the regression test for the PCD
-// reverse-map edge: when the slot that wears out is the *last* slot of the
+// TestPCDLastSlotWearOut pins the PCD edge of the batched loop's
+// slot→line cache: when the slot that wears out is the *last* slot of the
 // current user space, PCD's shrink leaves u == UserLines() and no binding
-// moves — the fast path must not rebind anything (an out-of-range Access
-// would panic, a stale rebind would corrupt the event stream). The profile
-// below forces that edge twice in a row (lines 7 then 6 are the weakest,
-// each the last slot of its round), follows with a genuine middle-slot
-// relocation, and ends at the capacity floor.
-func TestRunUAAFastPCDLastSlotWearOut(t *testing.T) {
+// moves — the loop must truncate its cache without refreshing the slot
+// (an out-of-range Access would panic, a stale entry would misdirect
+// later writes). The profile below forces that edge twice in a row
+// (lines 7 then 6 are the weakest, each the last slot of its round),
+// follows with a genuine middle-slot relocation, and ends at the capacity
+// floor.
+func TestPCDLastSlotWearOut(t *testing.T) {
 	lines := []int64{40, 50, 60, 70, 80, 90, 10, 5}
 	p := endurance.FromLines(4, lines)
-	newScheme := func() spare.Scheme { return spare.NewPCD(len(lines), 5) }
-
-	fast, err := RunUAAFast(p, newScheme())
+	build := func() Config {
+		return Config{Profile: p, Scheme: spare.NewPCD(len(lines), 5), Attack: attack.NewUAA()}
+	}
+	got, _, err := RunDetailed(build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := referenceUAAFast(p, newScheme())
+	want, err := referenceRunDetailed(build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast != ref {
-		t.Fatalf("fast %+v != reference %+v", fast, ref)
-	}
-
-	// Cross-validate against the per-write engine: whole-round accounting
-	// differs by less than one round, wear-out count exactly.
-	slow, _, err := RunDetailed(Config{Profile: p, Scheme: newScheme(), Attack: attack.NewUAA()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(float64(slow.UserWrites - fast.UserWrites)); diff > float64(len(lines))+1 {
-		t.Fatalf("discrete %d vs fast %d differ by more than a round", slow.UserWrites, fast.UserWrites)
-	}
-	if slow.WornLines != fast.WornLines || slow.Failed != fast.Failed {
-		t.Fatalf("discrete %+v vs fast %+v", slow, fast)
+	if got != want {
+		t.Fatalf("batched %+v != reference %+v", got, want)
 	}
 	// The scenario actually exercised the edge: lines 7 and 6 (the two
 	// last-slot deaths) plus enough further deaths to hit the floor.
-	if fast.WornLines < 3 || !fast.Failed {
-		t.Fatalf("scenario did not reach the capacity floor: %+v", fast)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Benchmarks: optimized fast path vs its pre-optimization reference on the
-// same profile, so `make bench` records what the slice reverse maps and the
-// unboxed heap buy in ns/op and allocs/op (BENCH_PR4.json).
-
-// benchUAAProfile matches the root bench_test.go scale: 256x16 lines,
-// mean endurance 1000.
-func benchUAAProfile() *endurance.Profile {
-	m := endurance.DefaultModel()
-	return m.Sample(256, 16, xrand.New(9)).ScaleToMean(1000).Shuffled(xrand.New(10))
-}
-
-// BenchmarkUAAFastOptimized measures RunUAAFast after the PR 4 hot-path
-// work (slice reverse maps, value heap, hoisted UserLines).
-func BenchmarkUAAFastOptimized(b *testing.B) {
-	p := benchUAAProfile()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
-		if _, err := RunUAAFast(p, sch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUAAFastReference measures the pre-optimization implementation
-// (map reverse maps, boxed container/heap, per-event UserLines calls) on
-// the identical workload — the baseline the optimized numbers compare to.
-func BenchmarkUAAFastReference(b *testing.B) {
-	p := benchUAAProfile()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
-		if _, err := referenceUAAFast(p, sch); err != nil {
-			b.Fatal(err)
-		}
+	if got.WornLines < 3 || !got.Failed {
+		t.Fatalf("scenario did not reach the capacity floor: %+v", got)
 	}
 }

@@ -10,10 +10,12 @@
 // thousands of writes per line) that the per-write engine handles in
 // milliseconds to seconds.
 //
-// For the Uniform Address Attack with no wear leveling the package also
-// provides an O(E log N) event-driven fast path (RunUAAFast) that
-// processes only wear-out events; tests cross-validate it against the
-// per-write engine.
+// RunDetailed runs every config on one of three loops: runGeneral, the
+// per-write reference, for fault plans and attacks without a batch
+// generator; and the batched struct-of-arrays loops of batch.go for the
+// rest, unleveled (runBatchedDirect) or leveled (runBatchedLeveled).
+// Tests cross-validate the batched loops against the per-write engine
+// bit for bit.
 package sim
 
 import (
@@ -66,8 +68,8 @@ type Config struct {
 
 	// Done, when non-nil, makes the run cancelable: the engine polls the
 	// channel every 1024 user writes and stops early once it is closed,
-	// returning the partial result with Interrupted set. Leave nil for
-	// the uncancelable (and marginally faster) loop.
+	// returning the partial result with Interrupted set. Every loop takes
+	// the same route either way; Done only adds the poll.
 	Done <-chan struct{}
 }
 
@@ -210,90 +212,29 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 
 	var userWrites int64
 	var interrupted bool
+	ba, batch := cfg.Attack.(attack.BatchAttack)
 	switch {
-	case cfg.Faults.Enabled():
+	case cfg.Faults.Enabled() || !batch:
 		// Metadata faults can corrupt slot→line bindings behind the
-		// scheme's back, so fault runs stay on the uncached general loop.
+		// scheme's back, so fault runs stay on the uncached per-write
+		// loop, as do attacks that cannot emit a batch.
 		userWrites, interrupted = runGeneral(cfg, e)
 	case cfg.Leveler == nil:
-		_, pcd := cfg.Scheme.(*spare.PCDScheme)
-		ca, cyclic := cfg.Attack.(attack.CyclicAttack)
-		ba, batch := cfg.Attack.(attack.BatchAttack)
-		switch {
-		case cyclic && cfg.Done == nil:
-			// Periodic state-neutral streams: skip whole quiescent periods
-			// analytically (fastforward.go). Handles PCD's shrinking space
-			// by re-deriving the cycle after every wear-out. Excluded when
-			// Done is set so the 1024-write cancellation polls land at the
-			// exact same write indexes as the per-write loops.
-			userWrites, interrupted = runCyclic(cfg, dev, e, ca)
-		case batch && !pcd:
-			// Capacity-stable schemes: epoch-batched struct-of-arrays loop
-			// with cached bindings and amortized wear-out checks (batch.go).
-			userWrites, interrupted = runBatchedDirect(cfg, dev, e, ba)
-		default:
-			userWrites, interrupted = runDirect(cfg, dev, e)
-		}
+		userWrites, interrupted = runBatchedDirect(cfg, dev, e, ba)
 	default:
-		if ba, ok := cfg.Attack.(attack.BatchAttack); ok {
-			userWrites, interrupted = runBatchedLeveled(cfg, dev, e, ba)
-		} else {
-			userWrites, interrupted = runGeneral(cfg, e)
-		}
+		userWrites, interrupted = runBatchedLeveled(cfg, dev, e, ba)
 	}
 	return buildResult(cfg, dev, userWrites, e, interrupted), dev, nil
 }
 
-// runDirect is the no-leveler, no-fault inner loop — the hot path of every
-// unleveled sweep. The per-write engine indirection is removed: the scheme
-// lookup, device write and wear-out hook run inline, and the user capacity
-// is hoisted into a local. Capacity is loop-invariant except across a
-// wear-out (only PCD shrinks, and only inside OnWearOut), so it is
-// refreshed exactly there instead of being an interface call per write.
-func runDirect(cfg Config, dev *device.Device, e *engine) (userWrites int64, interrupted bool) {
-	scheme := e.scheme
-	att := cfg.Attack
-	maxWrites := cfg.MaxUserWrites
-	done := cfg.Done
-	userLines := scheme.UserLines()
-	for {
-		if maxWrites > 0 && userWrites >= maxWrites {
-			return userWrites, false
-		}
-		if done != nil && userWrites&1023 == 0 {
-			select {
-			case <-done:
-				return userWrites, true
-			default:
-			}
-		}
-		if userLines == 0 {
-			e.failed = true
-			return userWrites, false
-		}
-		// The write that exhausts a line's budget still completes (the
-		// replacement procedure runs afterwards), so it counts as served
-		// even when the device fails to recover from it.
-		u := att.Next(userLines)
-		userWrites++
-		if dev.Write(scheme.Access(u)) {
-			if !scheme.OnWearOut(u) {
-				e.failed = true
-				return userWrites, false
-			}
-			userLines = scheme.UserLines()
-		}
-	}
-}
-
-// runGeneral handles the leveled and fault-injecting configurations, where
-// writes must flow through engine.WriteSlot (and relocation traffic through
-// the Mover interface). The logical address space never changes size, so it
-// is hoisted out of the loop. The unleveled user capacity is also hoisted:
-// as in runDirect, it can only change inside a wear-out replacement (PCD's
-// shrink, or a fault-path rebind), so it is refreshed exactly when the
-// engine's rebind counter moves instead of being two interface calls per
-// write.
+// runGeneral is the per-write reference loop, for fault-injecting
+// configurations and attacks without NextBatch: every write flows through
+// engine.WriteSlot (and relocation traffic through the Mover interface).
+// The logical address space never changes size, so it is hoisted out of
+// the loop. The unleveled user capacity is also hoisted: it can only
+// change inside a wear-out replacement (PCD's shrink, or a fault-path
+// rebind), so it is refreshed exactly when the engine's rebind counter
+// moves instead of being two interface calls per write.
 func runGeneral(cfg Config, e *engine) (userWrites int64, interrupted bool) {
 	logicalLines := 0
 	if cfg.Leveler != nil {
@@ -312,7 +253,9 @@ func runGeneral(cfg Config, e *engine) (userWrites int64, interrupted bool) {
 			default:
 			}
 		}
-		// See runDirect: the exhausting write still counts as served.
+		// The write that exhausts a line's budget still completes (the
+		// replacement procedure runs afterwards), so it counts as served
+		// even when the device fails to recover from it.
 		if cfg.Leveler == nil {
 			if userLines == 0 {
 				e.failed = true
@@ -358,150 +301,4 @@ func buildResult(cfg Config, dev *device.Device, userWrites int64, e *engine, in
 		r.WriteAmplification = float64(dev.TotalWrites()) / float64(userWrites)
 	}
 	return r
-}
-
-// ---------------------------------------------------------------------------
-// Event-driven fast path for UAA
-
-// slotEvent is a pending wear-out: the line backing a slot dies at the end
-// of round deathRound (rounds are full UAA sweeps over the user space).
-type slotEvent struct {
-	deathRound int64
-	line       int
-}
-
-// eventHeap is a hand-rolled binary min-heap of slotEvents keyed on
-// deathRound, replacing the earlier container/heap implementation whose
-// Push/Pop boxed every event in an interface{} allocation. The sift-up and
-// sift-down loops mirror container/heap's algorithm exactly — including
-// which of two equal-keyed events pops first, an order the schemes' state
-// (and therefore Result) depends on.
-type eventHeap []slotEvent
-
-func (h *eventHeap) push(ev slotEvent) {
-	s := append(*h, ev)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if s[i].deathRound <= s[j].deathRound {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() slotEvent {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s[j2].deathRound < s[j].deathRound {
-			j = j2
-		}
-		if s[i].deathRound <= s[j].deathRound {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	ev := s[n]
-	*h = s[:n]
-	return ev
-}
-
-// RunUAAFast computes the UAA lifetime (no wear leveling) by processing
-// wear-out events instead of individual writes: under UAA every in-service
-// line receives exactly one write per round, so the line backing a slot
-// dies a fixed number of rounds after it enters service. The result's
-// UserWrites counts whole rounds (each round = current user capacity
-// writes), which differs from the per-write engine by less than one round.
-//
-// The scheme must be freshly constructed; it is consumed by the run.
-func RunUAAFast(p *endurance.Profile, scheme spare.Scheme) (Result, error) {
-	if p == nil {
-		return Result{}, errNilProfile
-	}
-	if scheme == nil {
-		return Result{}, errNilScheme
-	}
-
-	// Dense slices replace the earlier map-based reverse maps: line ids are
-	// bounded by the profile, so lineSlot[line] (-1 = out of service) and
-	// worn[line] give allocation-free O(1) lookups in the event loop.
-	userLines := scheme.UserLines()
-	_, isPCD := scheme.(*spare.PCDScheme)
-	h := make(eventHeap, 0, userLines+1)
-	lineSlot := make([]int, p.Lines())
-	for i := range lineSlot {
-		lineSlot[i] = -1
-	}
-	worn := make([]bool, p.Lines())
-	for u := 0; u < userLines; u++ {
-		line := scheme.Access(u)
-		lineSlot[line] = u
-		h.push(slotEvent{deathRound: p.LineEndurance(line), line: line})
-	}
-
-	var userWrites int64
-	var lastRound int64
-	failed := false
-	wornLines := 0
-	for len(h) > 0 {
-		ev := h.pop()
-		if worn[ev.line] {
-			continue
-		}
-		u := lineSlot[ev.line]
-		if u < 0 { // not in service
-			continue
-		}
-		// Advance time: every round writes every in-service line once.
-		userWrites += (ev.deathRound - lastRound) * int64(userLines)
-		lastRound = ev.deathRound
-		worn[ev.line] = true
-		wornLines++
-		lineSlot[ev.line] = -1
-
-		if !scheme.OnWearOut(u) {
-			failed = true
-			break
-		}
-		if isPCD {
-			// PCD moved the former last slot's line into u and shrank; the
-			// reverse map entry for that line must follow it. When u itself
-			// was the last slot it simply fell off the end of the shrunk
-			// space and no binding moved.
-			userLines = scheme.UserLines()
-			if u < userLines {
-				lineSlot[scheme.Access(u)] = u
-			}
-			// Bindings of the other surviving slots are untouched, so no
-			// further reverse-map maintenance is needed.
-			continue
-		}
-		newLine := scheme.Access(u)
-		lineSlot[newLine] = u
-		h.push(slotEvent{
-			deathRound: lastRound + p.LineEndurance(newLine),
-			line:       newLine,
-		})
-	}
-
-	res := Result{
-		UserWrites:         userWrites,
-		DeviceWrites:       userWrites,
-		NormalizedLifetime: float64(userWrites) / p.Sum(),
-		WriteAmplification: 1,
-		WornLines:          wornLines,
-		SparesUsed:         scheme.SpareLinesUsed(),
-		Failed:             failed,
-	}
-	return res, nil
 }

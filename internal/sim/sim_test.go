@@ -273,62 +273,3 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("identical configs diverged: %+v vs %+v", a, b)
 	}
 }
-
-// Cross-validation: the event-driven UAA fast path must agree with the
-// per-write engine within one round of writes, across schemes.
-func TestFastPathMatchesDiscrete(t *testing.T) {
-	build := func(p *endurance.Profile, kind string) spare.Scheme {
-		switch kind {
-		case "none":
-			return spare.NewNone(p.Lines())
-		case "maxwe":
-			return spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
-		case "maxwe-allswr":
-			o := spare.DefaultMaxWEOptions()
-			o.SWRFraction = 1
-			return spare.NewMaxWE(p, o)
-		case "maxwe-alldyn":
-			o := spare.DefaultMaxWEOptions()
-			o.SWRFraction = 0
-			return spare.NewMaxWE(p, o)
-		case "ps-worst":
-			return spare.NewPS(p, p.Lines()/10, spare.PSWorst, nil)
-		case "ps-random":
-			return spare.NewPS(p, p.Lines()/10, spare.PSRandom, xrand.New(33))
-		case "pcd":
-			return spare.NewPCD(p.Lines(), p.Lines()-p.Lines()/10)
-		}
-		panic("unknown kind")
-	}
-	p := endurance.DefaultModel().Sample(40, 8, xrand.New(30)).
-		ScaleToMean(120).Shuffled(xrand.New(31))
-	for _, kind := range []string{"none", "maxwe", "maxwe-allswr", "maxwe-alldyn",
-		"ps-worst", "ps-random", "pcd"} {
-		slow, err := Run(Config{Profile: p, Scheme: build(p, kind), Attack: attack.NewUAA()})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		fast, err := RunUAAFast(p, build(p, kind))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		diff := math.Abs(float64(slow.UserWrites - fast.UserWrites))
-		if diff > float64(p.Lines())+1 {
-			t.Fatalf("%s: discrete %d vs fast %d differ by more than a round",
-				kind, slow.UserWrites, fast.UserWrites)
-		}
-		if slow.WornLines != fast.WornLines {
-			t.Fatalf("%s: worn lines %d vs %d", kind, slow.WornLines, fast.WornLines)
-		}
-	}
-}
-
-func TestRunUAAFastValidation(t *testing.T) {
-	p := endurance.Uniform(2, 2, 5)
-	if _, err := RunUAAFast(nil, spare.NewNone(4)); err == nil {
-		t.Fatal("nil profile accepted")
-	}
-	if _, err := RunUAAFast(p, nil); err == nil {
-		t.Fatal("nil scheme accepted")
-	}
-}
