@@ -56,15 +56,17 @@ faults:
 # bench regenerates $(BENCH_OUT): every figure/table bench (including
 # the cold/warm memo-cache sweep), the sweep supervisor at Parallelism 1
 # vs 0, the batched Fig7 cell against its per-write reference, one UAA
-# lifetime, and the nvmd submit round trip, parsed to JSON (with
+# lifetime, the nvmd submit round trip, and the leveled engine's layers
+# (one WeightedChooser and Zipf draw, one relocation of each randomized
+# swap leveler, one BPA epoch), parsed to JSON (with
 # NumCPU/GOMAXPROCS metadata) by cmd/benchjson. A second run repeats the
 # runner sweep at GOMAXPROCS 2 and 4 (the -cpu suffixes become
 # benchjson's "procs" field) to record multi-core scaling; it appends to
 # the same log so one conversion sees both. Separate steps so a bench
 # failure stops make instead of vanishing into a pipe.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated)' -benchmem \
-		. ./internal/sim/ ./internal/service/ > bench.out
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch)' -benchmem \
+		. ./internal/sim/ ./internal/service/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
@@ -81,7 +83,7 @@ bench-compare:
 # still parses — the CI guard that `make bench` cannot rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem \
-		. ./internal/sim/ ./internal/service/ > bench-smoke.out
+		. ./internal/sim/ ./internal/service/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench-smoke.out
 	$(GO) run ./cmd/benchjson -o /dev/null < bench-smoke.out
 	@rm -f bench-smoke.out
 

@@ -53,8 +53,8 @@ func (a *PartialUAA) NextBatch(n int, dst []int) {
 
 // NextBatch implements BatchAttack. Redraw boundaries land at exactly the
 // write indexes the per-write stream redraws at; between redraws the
-// round-robin is emitted as a straight run with the modulo replaced by a
-// wrap compare.
+// round-robin is emitted with copy, one stretch of the victim list at a
+// time from the cursor to the list's end.
 func (a *BPA) NextBatch(n int, dst []int) {
 	checkN(n)
 	i := 0
@@ -68,14 +68,13 @@ func (a *BPA) NextBatch(n int, dst []int) {
 				run = left
 			}
 		}
-		v, c := a.victims, a.cursor
-		for j := 0; j < run; j++ {
-			dst[i+j] = v[c]
-			if c++; c == len(v) {
-				c = 0
+		for out := dst[i : i+run]; len(out) > 0; {
+			k := copy(out, a.victims[a.cursor:])
+			out = out[k:]
+			if a.cursor += k; a.cursor == len(a.victims) {
+				a.cursor = 0
 			}
 		}
-		a.cursor = c
 		a.writes += run
 		i += run
 	}

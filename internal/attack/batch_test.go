@@ -63,3 +63,14 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		}
 	}
 }
+
+var benchBatch = make([]int, 1024)
+
+// BenchmarkBPANextBatch times one 1024-address epoch of the default BPA
+// (16 victims, redrawn every 100k writes) over 16384 lines.
+func BenchmarkBPANextBatch(b *testing.B) {
+	a := DefaultBPA(xrand.New(1))
+	for i := 0; i < b.N; i++ {
+		a.NextBatch(16384, benchBatch)
+	}
+}

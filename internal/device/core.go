@@ -12,7 +12,11 @@ import "maxwe/internal/endurance"
 // the slices directly — are exactly Write's semantics:
 //
 //   - Writes[i] counts every physical write to line i, worn or not.
-//   - Total is the sum of all Writes[i] increments.
+//   - Total is the sum of all Writes[i] increments once a run's loop has
+//     returned. The batched sim loops do not store it per write: they
+//     count user writes in a local and the caller adds that count when
+//     the loop returns, while movement and replacement writes count
+//     through Write as they happen. Nothing reads Total mid-loop.
 //   - Worn[i] flips false→true exactly once, when a write lands while
 //     Writes[i] >= Endurance[i] (or via ForceWear); it never flips back
 //     except through Reset.

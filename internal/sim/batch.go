@@ -13,6 +13,12 @@
 // worn slot) and attack.BatchAttack (NextBatch ≡ repeated Next). Fault
 // configurations break the binding invariant via metadata corruption and
 // never enter these loops.
+//
+// The loops leave device.Core.Total short by exactly the user writes they
+// return: a load and store through the core on every write cost more than
+// anything else in the leveled loop, so RunDetailed adds the returned
+// count once instead. Movement and replacement writes still count through
+// Core.Write as they happen.
 package sim
 
 import (
@@ -108,7 +114,6 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 			for _, u := range b {
 				core.Writes[slotLine[u]]++
 			}
-			core.Total += int64(size)
 			userWrites += int64(size)
 			quiescent -= int64(size)
 			continue
@@ -124,7 +129,6 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 			}
 			line := slotLine[u]
 			core.Writes[line]++
-			core.Total++
 			userWrites++
 			if !core.Worn[line] && core.Writes[line] >= core.Endurance[line] {
 				core.Worn[line] = true
@@ -201,6 +205,9 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 	slotLine := newSlotLine(scheme, scheme.UserLines())
 	mov := &cachedMover{e: e, core: core, slotLine: slotLine}
 	batch := make([]int, epochSize)
+	// The core's slices never reallocate, so the loops index local
+	// copies of their headers instead of reloading them through core.
+	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
 
 	// Devirtualize the two hot leveler families; every other leveler runs
 	// the same loop through the interface calls.
@@ -241,10 +248,10 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 			for _, lla := range b {
 				u := perm[lla]
 				line := slotLine[u]
-				core.Writes[line]++
-				core.Total++
+				w := writes[line] + 1
+				writes[line] = w
 				userWrites++
-				if core.Writes[line] >= core.Endurance[line] && !core.Worn[line] {
+				if w >= endurance[line] && !worn[line] {
 					if !e.batchWearOut(slotLine, u) {
 						return userWrites, false
 					}
@@ -259,10 +266,10 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 		case ident:
 			for _, u := range b {
 				line := slotLine[u]
-				core.Writes[line]++
-				core.Total++
+				w := writes[line] + 1
+				writes[line] = w
 				userWrites++
-				if core.Writes[line] >= core.Endurance[line] && !core.Worn[line] {
+				if w >= endurance[line] && !worn[line] {
 					if !e.batchWearOut(slotLine, u) {
 						return userWrites, false
 					}
@@ -272,10 +279,10 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 			for _, lla := range b {
 				u := lev.Translate(lla)
 				line := slotLine[u]
-				core.Writes[line]++
-				core.Total++
+				w := writes[line] + 1
+				writes[line] = w
 				userWrites++
-				if core.Writes[line] >= core.Endurance[line] && !core.Worn[line] {
+				if w >= endurance[line] && !worn[line] {
 					if !e.batchWearOut(slotLine, u) {
 						return userWrites, false
 					}

@@ -9,9 +9,11 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"maxwe/internal/attack"
+	"maxwe/internal/device"
 	"maxwe/internal/endurance"
 	"maxwe/internal/faultinject"
 	"maxwe/internal/spare"
@@ -120,10 +122,11 @@ func TestBatchedEngineFullMatrix(t *testing.T) {
 					continue // PCD's shrinking capacity forbids levelers
 				}
 				name := ak + "/" + sk + "/" + lk
-				got, _, err := RunDetailed(buildCrossval(p, ak, sk, lk, 0))
+				got, dev, err := RunDetailed(buildCrossval(p, ak, sk, lk, 0))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				checkCoreInvariants(t, name, dev)
 				want, err := referenceRunDetailed(buildCrossval(p, ak, sk, lk, 0))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -145,10 +148,11 @@ func TestUnleveledCapEdges(t *testing.T) {
 	p := optimProfile()
 	for _, ak := range crossvalAttacks {
 		for _, sk := range allSchemeKinds {
-			full, _, err := RunDetailed(buildCrossval(p, ak, sk, "", 0))
+			full, dev, err := RunDetailed(buildCrossval(p, ak, sk, "", 0))
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkCoreInvariants(t, ak+"/"+sk, dev)
 			caps := []int64{1, 2, 319, 320, 321, 1023, 1024, 1025,
 				full.UserWrites - 1, full.UserWrites, full.UserWrites + 1}
 			for _, maxW := range caps {
@@ -156,10 +160,11 @@ func TestUnleveledCapEdges(t *testing.T) {
 					continue
 				}
 				name := ak + "/" + sk
-				got, _, err := RunDetailed(buildCrossval(p, ak, sk, "", maxW))
+				got, dev, err := RunDetailed(buildCrossval(p, ak, sk, "", maxW))
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, maxW, err)
 				}
+				checkCoreInvariants(t, fmt.Sprintf("%s cap %d", name, maxW), dev)
 				want, err := referenceRunDetailed(buildCrossval(p, ak, sk, "", maxW))
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, maxW, err)
@@ -193,20 +198,22 @@ func TestBatchedDoneSemantics(t *testing.T) {
 		name := tc.ak + "/" + tc.sk + "/" + tc.lk
 		cfg := buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
 		cfg.Done = closed
-		res, _, err := RunDetailed(cfg)
+		res, dev, err := RunDetailed(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		checkCoreInvariants(t, name+" closed Done", dev)
 		if !res.Interrupted || res.UserWrites != 0 {
 			t.Fatalf("%s: pre-closed Done served %d writes, interrupted=%v",
 				name, res.UserWrites, res.Interrupted)
 		}
 		cfg = buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
 		cfg.Done = open
-		withOpen, _, err := RunDetailed(cfg)
+		withOpen, dev, err := RunDetailed(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		checkCoreInvariants(t, name+" open Done", dev)
 		noDone, _, err := RunDetailed(buildCrossval(p, tc.ak, tc.sk, tc.lk, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -246,6 +253,8 @@ func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 		if gotRes != wantRes {
 			t.Fatalf("%s: refactored %+v != legacy %+v", name, gotRes, wantRes)
 		}
+		checkCoreInvariants(t, name, gotDev)
+		checkCoreInvariants(t, name+" per-write", wantDev)
 		for line := 0; line < p.Lines(); line++ {
 			if gotDev.Writes(line) != wantDev.Writes(line) || gotDev.Worn(line) != wantDev.Worn(line) {
 				t.Fatalf("%s: line %d diverged: %d/%v vs %d/%v", name, line,
@@ -297,10 +306,11 @@ func FuzzEngineCrossValidation(f *testing.F) {
 			}
 			return cfg
 		}
-		got, _, err := RunDetailed(build())
+		got, dev, err := RunDetailed(build())
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCoreInvariants(t, fmt.Sprintf("%s/%s/%s cap %d faults %d", akind, skind, lkind, maxW, faultPM), dev)
 		want, err := referenceRunDetailed(build())
 		if err != nil {
 			t.Fatal(err)
@@ -318,6 +328,29 @@ func FuzzEngineCrossValidation(f *testing.F) {
 				akind, skind, lkind, maxW, faultPM, gotJSON, wantJSON)
 		}
 	})
+}
+
+// checkCoreInvariants asserts the accounting every finished run must
+// leave in the device core: Total equals the sum of the per-line write
+// counters (the batched loops settle Total only when they return), and
+// WornLines equals the number of worn flags.
+func checkCoreInvariants(t *testing.T, name string, dev *device.Device) {
+	t.Helper()
+	c := dev.Core()
+	var sum int64
+	worn := 0
+	for line, w := range c.Writes {
+		sum += w
+		if c.Worn[line] {
+			worn++
+		}
+	}
+	if sum != c.Total {
+		t.Fatalf("%s: sum of per-line writes %d != Total %d", name, sum, c.Total)
+	}
+	if worn != c.WornLines {
+		t.Fatalf("%s: %d lines flagged worn != WornLines %d", name, worn, c.WornLines)
+	}
 }
 
 // logicalOf returns the logical space an attack addresses under cfg.

@@ -77,7 +77,7 @@ func FuzzFaultPlan(f *testing.F) {
 			t.Fatal(err)
 		}
 		p := endurance.Linear(8, 8, 5, 250).Shuffled(xrand.New(seed))
-		res, err := Run(Config{
+		res, dev, err := RunDetailed(Config{
 			Profile: p,
 			Scheme:  spare.NewMaxWE(p, spare.DefaultMaxWEOptions()),
 			Attack:  attack.NewUAA(),
@@ -86,6 +86,7 @@ func FuzzFaultPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCoreInvariants(t, "fault plan", dev)
 		if !res.Failed {
 			t.Fatal("uncapped run ended without device failure")
 		}
@@ -153,6 +154,8 @@ func FuzzUnleveledMatchesPerWrite(f *testing.F) {
 		if got != want {
 			t.Fatalf("%s: batched %+v != per-write %+v", name, got, want)
 		}
+		checkCoreInvariants(t, name, gotDev)
+		checkCoreInvariants(t, name+" per-write", wantDev)
 		for line := 0; line < p.Lines(); line++ {
 			if gotDev.Writes(line) != wantDev.Writes(line) || gotDev.Worn(line) != wantDev.Worn(line) {
 				t.Fatalf("%s: line %d diverged: %d/%v vs %d/%v", name, line,

@@ -221,8 +221,10 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 		userWrites, interrupted = runGeneral(cfg, e)
 	case cfg.Leveler == nil:
 		userWrites, interrupted = runBatchedDirect(cfg, dev, e, ba)
+		dev.Core().Total += userWrites
 	default:
 		userWrites, interrupted = runBatchedLeveled(cfg, dev, e, ba)
+		dev.Core().Total += userWrites
 	}
 	return buildResult(cfg, dev, userWrites, e, interrupted), dev, nil
 }

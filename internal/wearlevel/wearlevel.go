@@ -173,11 +173,10 @@ func (l *StartGap) OnWrite(_ int, mov Mover) bool {
 // places with a policy-chosen partner, at a cost of two data-movement
 // writes (Figure 2 of the paper).
 type SwapWL struct {
-	name    string
-	perm    []int // logical -> slot
-	inv     []int // slot -> logical
-	credit  []int
-	metrics []float64 // per-slot endurance metric (nil for uniform schemes)
+	name   string
+	perm   []int // logical -> slot
+	inv    []int // slot -> logical
+	credit []int
 
 	// psi is the base dwell in writes.
 	psi int
@@ -187,12 +186,15 @@ type SwapWL struct {
 	// dwellGamma scales dwell with the occupied slot's metric:
 	// dwell = psi * (metric/meanMetric)^dwellGamma (0 = constant).
 	dwellGamma float64
+	// slotDwell holds that product per slot, computed once at
+	// construction so a relocation pays no math.Pow (nil when dwell is
+	// constant).
+	slotDwell []float64
 	// jitter randomizes each dwell uniformly in [psi/2, 3psi/2) (PCM-S).
 	jitter bool
 
-	chooser    *xrand.WeightedChooser
-	meanMetric float64
-	src        *xrand.Source
+	chooser *xrand.WeightedChooser
+	src     *xrand.Source
 
 	swaps int64
 }
@@ -216,7 +218,6 @@ func newSwapWL(name string, slots int, metrics []float64, psi int,
 		perm:       make([]int, slots),
 		inv:        make([]int, slots),
 		credit:     make([]int, slots),
-		metrics:    metrics,
 		psi:        psi,
 		pickGamma:  pickGamma,
 		dwellGamma: dwellGamma,
@@ -235,7 +236,13 @@ func newSwapWL(name string, slots int, metrics []float64, psi int,
 			}
 			sum += m
 		}
-		l.meanMetric = sum / float64(slots)
+		mean := sum / float64(slots)
+		if dwellGamma > 0 {
+			l.slotDwell = make([]float64, slots)
+			for i, m := range metrics {
+				l.slotDwell[i] = float64(psi) * math.Pow(m/mean, dwellGamma)
+			}
+		}
 		if pickGamma > 0 {
 			w := make([]float64, slots)
 			for i, m := range metrics {
@@ -299,8 +306,8 @@ func (l *SwapWL) Swaps() int64 { return l.swaps }
 // dwell computes the write credit granted to a line placed on slot.
 func (l *SwapWL) dwell(slot int) int {
 	d := float64(l.psi)
-	if l.dwellGamma > 0 && l.metrics != nil {
-		d *= math.Pow(l.metrics[slot]/l.meanMetric, l.dwellGamma)
+	if l.slotDwell != nil {
+		d = l.slotDwell[slot]
 	}
 	if l.jitter {
 		d *= 0.5 + l.src.Float64()

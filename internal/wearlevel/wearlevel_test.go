@@ -393,6 +393,43 @@ func BenchmarkSwapWLOnWrite(b *testing.B) {
 	}
 }
 
+// countingMover accepts every movement write and only counts it, so a
+// benchmark times the leveler alone.
+type countingMover struct{ writes int64 }
+
+func (m *countingMover) WriteSlot(int) bool {
+	m.writes++
+	return true
+}
+
+// BenchmarkSwapWLRelocate times one relocation of each randomized swap
+// leveler at the default sweep scale: 16384 slots, psi 32, metrics
+// spread linearly over a 50x endurance ratio.
+func BenchmarkSwapWLRelocate(b *testing.B) {
+	const slots = 16384
+	metrics := make([]float64, slots)
+	for i := range metrics {
+		metrics[i] = 1 + 49*float64(i)/(slots-1)
+	}
+	for _, c := range []struct {
+		name string
+		mk   func() *SwapWL
+	}{
+		{"tlsr", func() *SwapWL { return NewTLSR(slots, 32, xrand.New(1)) }},
+		{"pcm-s", func() *SwapWL { return NewPCMS(slots, 32, xrand.New(1)) }},
+		{"bwl", func() *SwapWL { return NewBWL(slots, metrics, 32, xrand.New(1)) }},
+		{"wawl", func() *SwapWL { return NewWAWL(slots, metrics, 32, xrand.New(1)) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			l, m := c.mk(), &countingMover{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Relocate(i&(slots-1), m)
+			}
+		})
+	}
+}
+
 func BenchmarkStartGapTranslate(b *testing.B) {
 	l := NewStartGap(4096, 64)
 	b.ResetTimer()

@@ -15,7 +15,10 @@
 // without modulo bias, normal via Box-Muller, Zipf, permutations).
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitmix64 advances a 64-bit state and returns the next output of the
 // SplitMix64 sequence. It is used to expand a single user seed into the
@@ -103,26 +106,12 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	// word, rejecting the small biased region of the low word.
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= -n%n {
 			// Fast path: -n % n == (2^64 - n) % n, the bias threshold.
 			return hi
 		}
 	}
-}
-
-// mul64 computes the 128-bit product of a and b without math/bits so the
-// package stays dependency-free beyond math (bits is also stdlib; this is
-// explicit for clarity of the bias argument).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniformly random float64 in [0, 1) with 53 random bits.
@@ -172,12 +161,77 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Zipf draws from a Zipf distribution over [0, n) with exponent s > 1 is
-// not required; this implementation supports any s > 0 (s == 1 gives the
-// classic harmonic law) via inverse-CDF on a precomputed table. Use
-// NewZipf to amortize the table across draws.
+// cdfTable is the inverse-CDF sampler shared by Zipf and WeightedChooser:
+// the normalized cumulative distribution plus a guide table that narrows
+// each draw's binary search to one bucket.
+//
+// K is the smallest power of two >= len(cdf), and guide[b] is the first
+// index with cdf[i] >= b/K for b = 0..K. A draw u in [0, 1) falls in
+// bucket b = floor(u*K), computed exactly because K is a power of two.
+// Every index below guide[b] has cdf < b/K <= u and cdf[guide[b+1]] >=
+// (b+1)/K > u, so the first index with cdf >= u — the answer of a plain
+// binary search over the whole table — lies in [guide[b], guide[b+1]].
+// The search there returns exactly that index, so the sampled stream is
+// the plain search's bit for bit. This needs cdf monotone, which
+// cumulative sums of non-negative terms divided by their positive total
+// are, and cdf[len-1] == 1, which holds because it is the total divided by
+// itself.
+type cdfTable struct {
+	cdf   []float64
+	guide []int32
+	k     float64
+}
+
+// newCDFTable normalizes the running sums in cdf by their last entry, in
+// place, and builds the guide table over them.
+func newCDFTable(cdf []float64) cdfTable {
+	sum := cdf[len(cdf)-1]
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	k := 1
+	for k < len(cdf) {
+		k <<= 1
+	}
+	guide := make([]int32, k+1)
+	i := 0
+	for b := range guide {
+		for t := float64(b) / float64(k); i < len(cdf)-1 && cdf[i] < t; {
+			i++
+		}
+		guide[b] = int32(i)
+	}
+	return cdfTable{cdf: cdf, guide: guide, k: float64(k)}
+}
+
+// N returns the number of indices the sampler draws from.
+func (t *cdfTable) N() int { return len(t.cdf) }
+
+// Draw samples an index using randomness from src: the first index whose
+// cumulative probability reaches a uniform draw.
+func (t *cdfTable) Draw(src *Source) int { return t.index(src.Float64()) }
+
+// index returns the first i with cdf[i] >= u, for u in [0, 1).
+func (t *cdfTable) index(u float64) int {
+	b := int(u * t.k)
+	lo, hi := int(t.guide[b]), int(t.guide[b+1])
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if t.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Zipf draws ranks in [0, n) from a Zipf distribution with any exponent
+// s >= 0 (s == 0 is uniform, s == 1 the classic harmonic law) by
+// inverse-CDF sampling on a precomputed table. Build it once with NewZipf
+// and reuse it across draws.
 type Zipf struct {
-	cdf []float64
+	cdfTable
 }
 
 // NewZipf builds a Zipf sampler over ranks [0, n) with exponent s.
@@ -196,36 +250,14 @@ func NewZipf(n int, s float64) *Zipf {
 		sum += math.Pow(float64(k+1), -s)
 		cdf[k] = sum
 	}
-	for k := range cdf {
-		cdf[k] /= sum
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// N returns the support size of the sampler.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Draw samples a rank in [0, N()) using randomness from src.
-func (z *Zipf) Draw(src *Source) int {
-	u := src.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return &Zipf{newCDFTable(cdf)}
 }
 
 // WeightedChooser samples indices proportionally to a fixed non-negative
 // weight vector. It is used by the endurance-aware wear-leveling models
 // (BWL, WAWL) to direct traffic toward strong regions.
 type WeightedChooser struct {
-	cdf []float64
+	cdfTable
 }
 
 // NewWeightedChooser builds a sampler over len(weights) indices. Weights
@@ -246,26 +278,5 @@ func NewWeightedChooser(weights []float64) *WeightedChooser {
 	if sum <= 0 {
 		panic("xrand: NewWeightedChooser with all-zero weights")
 	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &WeightedChooser{cdf: cdf}
-}
-
-// N returns the number of choices.
-func (w *WeightedChooser) N() int { return len(w.cdf) }
-
-// Draw samples an index with probability proportional to its weight.
-func (w *WeightedChooser) Draw(src *Source) int {
-	u := src.Float64()
-	lo, hi := 0, len(w.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return &WeightedChooser{newCDFTable(cdf)}
 }
