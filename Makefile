@@ -58,14 +58,15 @@ faults:
 # vs 0, the batched Fig7 cell against its per-write reference, one UAA
 # lifetime, the nvmd submit round trip, and the leveled engine's layers
 # (one WeightedChooser and Zipf draw, one relocation of each randomized
-# swap leveler, one BPA epoch), parsed to JSON (with
+# swap leveler, one BPA and one UAA epoch), two unleveled cells of the
+# batched direct loop at default scale, parsed to JSON (with
 # NumCPU/GOMAXPROCS metadata) by cmd/benchjson. A second run repeats the
 # runner sweep at GOMAXPROCS 2 and 4 (the -cpu suffixes become
 # benchjson's "procs" field) to record multi-core scaling; it appends to
 # the same log so one conversion sees both. Separate steps so a bench
 # failure stops make instead of vanishing into a pipe.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch)' -benchmem \
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect)' -benchmem \
 		. ./internal/sim/ ./internal/service/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out

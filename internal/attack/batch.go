@@ -16,19 +16,11 @@ type BatchAttack interface {
 }
 
 // NextBatch implements BatchAttack: a uniform sweep with PCD wrap,
-// element-for-element identical to Next.
+// element-for-element identical to Next, filled one run v, v+1, … up to
+// the wrap at a time.
 func (a *UAA) NextBatch(n int, dst []int) {
 	checkN(n)
-	for i := range dst {
-		if a.next >= n {
-			a.next = 0
-		}
-		dst[i] = a.next
-		a.next++
-		if a.next == n {
-			a.next = 0
-		}
-	}
+	a.next = sweepRuns(a.next, n, dst)
 }
 
 // NextBatch implements BatchAttack with the coverage limit hoisted out of
@@ -39,16 +31,35 @@ func (a *PartialUAA) NextBatch(n int, dst []int) {
 	if limit < 1 {
 		limit = 1
 	}
-	for i := range dst {
-		if a.next >= limit {
-			a.next = 0
+	a.next = sweepRuns(a.next, limit, dst)
+}
+
+// sweepRuns fills dst with the round-robin over [0, limit) that starts at
+// next, wrapping to 0 first if a shrink left next outside the range, and
+// returns the cursor after it. It writes one run v, v+1, … per wrap
+// instead of testing both wrap conditions per element. An empty dst
+// leaves the cursor alone, as zero Next calls would.
+func sweepRuns(next, limit int, dst []int) int {
+	if len(dst) == 0 {
+		return next
+	}
+	if next >= limit {
+		next = 0
+	}
+	for len(dst) > 0 {
+		run := dst
+		if len(run) > limit-next {
+			run = run[:limit-next]
 		}
-		dst[i] = a.next
-		a.next++
-		if a.next == limit {
-			a.next = 0
+		for j := range run {
+			run[j] = next + j
+		}
+		dst = dst[len(run):]
+		if next += len(run); next == limit {
+			next = 0
 		}
 	}
+	return next
 }
 
 // NextBatch implements BatchAttack. Redraw boundaries land at exactly the

@@ -2,9 +2,23 @@
 // interface-call chain per write (attack → leveler → scheme → device),
 // the loops here pull address batches from attack.BatchAttack, translate
 // them through a cached slot→line binding, and index the device.Core
-// slices directly. Wear-out checks are amortized: while the minimum
-// remaining budget across the bound lines guarantees no line can die
+// slices directly.
+//
+// Both loops run on one epoch driver, runEpochs, which owns the
+// MaxUserWrites cap, the Config.Done poll and the epoch size, and hands
+// each epoch to one specialized inner loop per route: quiescentEpoch,
+// checkedEpoch (unleveled, and leveled under Identity), pcdEpoch,
+// swapEpoch and levelerEpoch. Each inner loop returns the user writes it
+// served, and the driver adds them once per epoch.
+//
+// Unleveled epochs may skip the wear-out compare: while the minimum
+// remaining budget across the bound lines guarantees that no line can die
 // within an epoch, the inner loop degenerates to a counter increment.
+// That quiescence pays only when the weakest bound line has more than
+// epochSize writes left. At the experiments' default scale the weakest
+// line's endurance is below epochSize, so every epoch is checked from the
+// first write on, and safeWrites stops scanning at the first line within
+// one epoch of its budget.
 //
 // Exactness contract: every loop in this file must produce bit-identical
 // Results to the per-write reference engine (see crossval_test.go). The
@@ -46,58 +60,50 @@ func newSlotLine(scheme spare.Scheme, userLines int) []int32 {
 }
 
 // safeWrites returns how many further writes — however they distribute
-// over the slots — are guaranteed to wear out no bound line: one less
-// than the minimum remaining budget. Recomputed only after wear-outs;
-// callers decrement it as epochs retire.
+// over the slots — are guaranteed to wear out no bound line. It is exact,
+// one less than the minimum remaining budget, whenever that is at least
+// epochSize; otherwise it returns 0 at the first bound line with at most
+// epochSize writes left. Any bound below epochSize runs every full epoch
+// checked until the next wear-out, so stopping there moves no epoch from
+// one loop to the other, and once lines start wearing out a scan visits
+// about one line. Recomputed only after wear-outs; callers decrement it as
+// epochs retire.
 func safeWrites(core *device.Core, slotLine []int32) int64 {
 	if len(slotLine) == 0 {
 		return 0
 	}
+	writes, endurance := core.Writes, core.Endurance
 	min := int64(1)<<62 - 1
 	for _, line := range slotLine {
-		if rem := core.Endurance[line] - core.Writes[line]; rem < min {
+		rem := endurance[line] - writes[line]
+		if rem <= epochSize {
+			return 0
+		}
+		if rem < min {
 			min = rem
 		}
 	}
 	return min - 1
 }
 
-// runBatchedDirect is the unleveled, fault-free SoA loop. Epochs of at
-// most epochSize writes run either an unchecked increment-only loop, when
-// no bound line can wear out within the epoch, or a checked loop that
-// replicates Device.Write inline.
+// runEpochs is the epoch driver of both batched loops. It stops at the
+// MaxUserWrites cap, polls Config.Done at every epoch start and hands
+// epoch the length of the next epoch: epochSize, or less where the cap
+// cuts the last one short. epoch returns the user writes it served and
+// false once the device failed.
 //
-// PCD shrinks the user space inside OnWearOut, so its checked epochs draw
-// each address with Next at the current capacity instead of one NextBatch
-// at the epoch's starting size; quiescent epochs contain no wear-out and
-// keep the batch. After every wear-out slotLine is truncated to the new
-// capacity, and the worn slot's binding is refreshed only if the slot is
-// still in the space (PCD drops it when it was the last slot).
-func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
-	scheme := e.scheme
-	core := dev.Core()
+// userWrites is a multiple of epochSize at every epoch start (a short
+// epoch happens only at the cap, which returns next), so the poll lands
+// on exactly the reference loops' userWrites&1023 == 0 indexes.
+func runEpochs(cfg Config, epoch func(size int) (consumed int, ok bool)) (userWrites int64, interrupted bool) {
 	maxWrites := cfg.MaxUserWrites
-	done := cfg.Done
-	_, pcd := scheme.(*spare.PCDScheme)
-	userLines := scheme.UserLines()
-	if userLines == 0 {
-		e.failed = true
-		return 0, false
-	}
-	slotLine := newSlotLine(scheme, userLines)
-	quiescent := safeWrites(core, slotLine)
-	batch := make([]int, epochSize)
 	for {
 		if maxWrites > 0 && userWrites >= maxWrites {
 			return userWrites, false
 		}
-		// userWrites is a multiple of epochSize at every epoch start (a
-		// short final epoch only happens at the MaxUserWrites boundary,
-		// which returns above), so this polls at exactly the reference
-		// loop's userWrites&1023 == 0 indexes.
-		if done != nil {
+		if cfg.Done != nil {
 			select {
-			case <-done:
+			case <-cfg.Done:
 				return userWrites, true
 			default:
 			}
@@ -106,60 +112,109 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 		if maxWrites > 0 && maxWrites-userWrites < int64(size) {
 			size = int(maxWrites - userWrites)
 		}
+		consumed, ok := epoch(size)
+		userWrites += int64(consumed)
+		if !ok {
+			return userWrites, false
+		}
+	}
+}
+
+// runBatchedDirect is the unleveled, fault-free SoA loop. Each epoch runs
+// quiescentEpoch when no bound line can wear out within it, and otherwise
+// a checked loop that replicates Device.Write inline. The quiescence
+// bound is decremented as epochs retire and rescanned after every epoch
+// that wore a line out.
+//
+// PCD shrinks the user space inside OnWearOut, so its checked epochs run
+// pcdEpoch, which draws each address with Next at the current capacity
+// instead of one NextBatch at the epoch's starting size; quiescent epochs
+// contain no wear-out and keep the batch. slotLine always spans exactly
+// the current user space.
+func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
+	scheme := e.scheme
+	if scheme.UserLines() == 0 {
+		e.failed = true
+		return 0, false
+	}
+	core := dev.Core()
+	// The core's slices never reallocate, so the loops index local copies
+	// of their headers instead of reloading them through core.
+	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
+	_, pcd := scheme.(*spare.PCDScheme)
+	slotLine := newSlotLine(scheme, scheme.UserLines())
+	quiescent := safeWrites(core, slotLine)
+	batch := make([]int, epochSize)
+	return runEpochs(cfg, func(size int) (int, bool) {
 		b := batch[:size]
 		if quiescent >= int64(size) {
-			// No bound line can reach its budget within this epoch: skip
-			// the wear-out compare entirely.
-			att.NextBatch(userLines, b)
-			for _, u := range b {
-				core.Writes[slotLine[u]]++
-			}
-			userWrites += int64(size)
+			att.NextBatch(len(slotLine), b)
+			quiescentEpoch(b, slotLine, writes)
 			quiescent -= int64(size)
-			continue
+			return size, true
 		}
-		if !pcd {
-			att.NextBatch(userLines, b)
+		rebinds := e.rebinds
+		var consumed int
+		var ok bool
+		if pcd {
+			consumed, slotLine, ok = pcdEpoch(e, att, size, slotLine, writes, endurance, worn)
+		} else {
+			att.NextBatch(len(slotLine), b)
+			consumed, ok = checkedEpoch(e, b, slotLine, writes, endurance, worn)
 		}
-		wore := false
-		for i := range b {
-			u := b[i]
-			if pcd {
-				u = att.Next(userLines)
-			}
-			line := slotLine[u]
-			core.Writes[line]++
-			userWrites++
-			if !core.Worn[line] && core.Writes[line] >= core.Endurance[line] {
-				core.Worn[line] = true
-				core.WornLines++
-				wore = true
-				e.rebinds++
-				if !scheme.OnWearOut(u) {
-					e.failed = true
-					return userWrites, false
-				}
-				userLines = scheme.UserLines()
-				slotLine = slotLine[:userLines]
-				if u < userLines {
-					slotLine[u] = int32(scheme.Access(u))
-				}
-			}
-		}
-		switch {
-		case !wore:
+		if e.rebinds == rebinds {
 			// Still a valid lower bound: each write spends at most one
 			// unit of any line's remaining budget.
 			quiescent -= int64(size)
-		case pcd:
-			// Under PCD wear-outs cluster once they begin, and an O(lines)
-			// rescan after each of them costs more than it saves: every
-			// later epoch runs checked.
-			quiescent = 0
-		default:
+		} else if ok {
 			quiescent = safeWrites(core, slotLine)
 		}
+		return consumed, ok
+	})
+}
+
+// quiescentEpoch writes the slots of b when no bound line can reach its
+// budget within them: an increment per write and no wear-out compare.
+func quiescentEpoch(b []int, slotLine []int32, writes []int64) {
+	for _, u := range b {
+		writes[slotLine[u]]++
 	}
+}
+
+// checkedEpoch writes the slots of b with the wear-out compare inline: the
+// unleveled loop of every scheme but PCD, and the leveled loop under
+// Identity, whose slots are the logical addresses. The capacity is fixed,
+// so wearOut's cache stays the same length.
+func checkedEpoch(e *engine, b []int, slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, ok bool) {
+	for i, u := range b {
+		line := slotLine[u]
+		w := writes[line] + 1
+		writes[line] = w
+		if w >= endurance[line] && !worn[line] {
+			if _, ok := e.wearOut(slotLine, u); !ok {
+				return i + 1, false
+			}
+		}
+	}
+	return len(b), true
+}
+
+// pcdEpoch is checkedEpoch for PCD's shrinking user space: size writes,
+// each address drawn with Next at the capacity current when it is drawn.
+// It returns the slot→line cache cut to the capacity the epoch ends with.
+func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, _ []int32, ok bool) {
+	for i := 0; i < size; i++ {
+		u := att.Next(len(slotLine))
+		line := slotLine[u]
+		w := writes[line] + 1
+		writes[line] = w
+		if w >= endurance[line] && !worn[line] {
+			if slotLine, ok = e.wearOut(slotLine, u); !ok {
+				return i + 1, slotLine, false
+			}
+		}
+	}
+	return size, slotLine, true
 }
 
 // cachedMover routes wear-leveling movement writes through the SoA core
@@ -190,124 +245,105 @@ func (m *cachedMover) WriteSlot(u int) bool {
 // runBatchedLeveled is the leveled, fault-free SoA loop. Addresses are
 // batched; translation and remap scheduling stay per-write (they are
 // stateful), but the two hottest leveler families are devirtualized: the
-// randomized swap schemes run on wearlevel.SwapWL's shared perm/credit
-// state with only the rare relocation paying a call, and Identity
-// translates with no call at all. Leveled epochs always run the checked
-// loop — movement writes make a cheap per-write compare simpler than
-// accounting relocation traffic against a quiescence budget.
+// randomized swap schemes run swapEpoch on wearlevel.SwapWL's shared
+// perm/credit state with only the rare relocation paying a call, and
+// Identity runs checkedEpoch with no translation at all. Every other
+// leveler runs levelerEpoch through the interface calls. Leveled epochs
+// are always checked — movement writes make a cheap per-write compare
+// simpler than accounting relocation traffic against a quiescence budget.
 func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
-	scheme := e.scheme
 	core := dev.Core()
+	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
 	lev := cfg.Leveler
 	logicalLines := lev.LogicalLines()
-	maxWrites := cfg.MaxUserWrites
-	done := cfg.Done
-	slotLine := newSlotLine(scheme, scheme.UserLines())
+	slotLine := newSlotLine(e.scheme, e.scheme.UserLines())
 	mov := &cachedMover{e: e, core: core, slotLine: slotLine}
 	batch := make([]int, epochSize)
-	// The core's slices never reallocate, so the loops index local
-	// copies of their headers instead of reloading them through core.
-	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
-
-	// Devirtualize the two hot leveler families; every other leveler runs
-	// the same loop through the interface calls.
-	var swap *wearlevel.SwapWL
+	swap, _ := lev.(*wearlevel.SwapWL)
 	var perm, credit []int
-	ident := false
-	switch l := lev.(type) {
-	case *wearlevel.SwapWL:
-		swap = l
-		perm, credit = l.HotState()
-	case *wearlevel.Identity:
-		ident = true
+	if swap != nil {
+		perm, credit = swap.HotState()
 	}
-
-	for {
-		if maxWrites > 0 && userWrites >= maxWrites {
-			return userWrites, false
-		}
-		// See runBatchedDirect: epoch starts are exactly the reference
-		// polling indexes.
-		if done != nil {
-			select {
-			case <-done:
-				return userWrites, true
-			default:
-			}
-		}
-		size := epochSize
-		if maxWrites > 0 && maxWrites-userWrites < int64(size) {
-			size = int(maxWrites - userWrites)
-		}
+	_, ident := lev.(*wearlevel.Identity)
+	return runEpochs(cfg, func(size int) (int, bool) {
 		b := batch[:size]
 		att.NextBatch(logicalLines, b)
-		// One specialized inner loop per leveler family: the dispatch
-		// runs once per epoch, not once per write.
 		switch {
 		case swap != nil:
-			for _, lla := range b {
-				u := perm[lla]
-				line := slotLine[u]
-				w := writes[line] + 1
-				writes[line] = w
-				userWrites++
-				if w >= endurance[line] && !worn[line] {
-					if !e.batchWearOut(slotLine, u) {
-						return userWrites, false
-					}
-				}
-				credit[lla]--
-				if credit[lla] <= 0 {
-					if !swap.Relocate(lla, mov) {
-						return userWrites, false
-					}
-				}
-			}
+			return swapEpoch(e, b, swap, perm, credit, mov, slotLine, writes, endurance, worn)
 		case ident:
-			for _, u := range b {
-				line := slotLine[u]
-				w := writes[line] + 1
-				writes[line] = w
-				userWrites++
-				if w >= endurance[line] && !worn[line] {
-					if !e.batchWearOut(slotLine, u) {
-						return userWrites, false
-					}
-				}
-			}
+			return checkedEpoch(e, b, slotLine, writes, endurance, worn)
 		default:
-			for _, lla := range b {
-				u := lev.Translate(lla)
-				line := slotLine[u]
-				w := writes[line] + 1
-				writes[line] = w
-				userWrites++
-				if w >= endurance[line] && !worn[line] {
-					if !e.batchWearOut(slotLine, u) {
-						return userWrites, false
-					}
-				}
-				if !lev.OnWrite(lla, mov) {
-					return userWrites, false
-				}
+			return levelerEpoch(e, b, lev, mov, slotLine, writes, endurance, worn)
+		}
+	})
+}
+
+// swapEpoch writes the logical addresses of b under a wearlevel.SwapWL:
+// translation through perm, and a credit decrement that calls Relocate
+// when it runs out.
+func swapEpoch(e *engine, b []int, swap *wearlevel.SwapWL, perm, credit []int, mov *cachedMover,
+	slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, ok bool) {
+	for i, lla := range b {
+		u := perm[lla]
+		line := slotLine[u]
+		w := writes[line] + 1
+		writes[line] = w
+		if w >= endurance[line] && !worn[line] {
+			if _, ok := e.wearOut(slotLine, u); !ok {
+				return i + 1, false
+			}
+		}
+		credit[lla]--
+		if credit[lla] <= 0 {
+			if !swap.Relocate(lla, mov) {
+				return i + 1, false
 			}
 		}
 	}
+	return len(b), true
 }
 
-// batchWearOut is the rare-path half of the inlined write: mark the slot's
-// line worn, run the replacement procedure, and refresh the cached
-// binding. Returns false on device failure (e.failed is set).
-func (e *engine) batchWearOut(slotLine []int32, u int) bool {
+// levelerEpoch writes the logical addresses of b under any other leveler,
+// through its Translate and OnWrite.
+func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
+	slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, ok bool) {
+	for i, lla := range b {
+		u := lev.Translate(lla)
+		line := slotLine[u]
+		w := writes[line] + 1
+		writes[line] = w
+		if w >= endurance[line] && !worn[line] {
+			if _, ok := e.wearOut(slotLine, u); !ok {
+				return i + 1, false
+			}
+		}
+		if !lev.OnWrite(lla, mov) {
+			return i + 1, false
+		}
+	}
+	return len(b), true
+}
+
+// wearOut is the rare-path half of the inlined write: mark the slot's line
+// worn, run the replacement procedure, and refresh the cached binding.
+// PCD shrinks the user space inside OnWearOut, so the cache is cut to the
+// new capacity and the worn slot is refreshed only if it is still in the
+// space (PCD drops it when it was the last slot); every other scheme
+// keeps its capacity and the cache its length. Returns false on device
+// failure (e.failed is set).
+func (e *engine) wearOut(slotLine []int32, u int) ([]int32, bool) {
 	core := e.dev.Core()
-	line := slotLine[u]
-	core.Worn[line] = true
+	core.Worn[slotLine[u]] = true
 	core.WornLines++
 	e.rebinds++
 	if !e.scheme.OnWearOut(u) {
 		e.failed = true
-		return false
+		return slotLine, false
 	}
-	slotLine[u] = int32(e.scheme.Access(u))
-	return true
+	slotLine = slotLine[:e.scheme.UserLines()]
+	if u < len(slotLine) {
+		slotLine[u] = int32(e.scheme.Access(u))
+	}
+	return slotLine, true
 }

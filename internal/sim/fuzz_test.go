@@ -121,7 +121,10 @@ func FuzzFaultPlan(f *testing.F) {
 // endurance floor decides whether the run opens with quiescent epochs (a
 // floor above epochSize) or checks every write. The first four seeds
 // below wear out the last slot of PCD's shrinking space one to three
-// times each, the third and fourth after a quiescent first epoch.
+// times each, the third and fourth after a quiescent first epoch. The
+// last seed opens at floor 1025: its weakest line has epochSize+1 writes
+// left, one more than safeWrites' early exit takes, so the run opens with
+// exactly one quiescent epoch and then checks every write.
 func FuzzUnleveledMatchesPerWrite(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(7), uint16(0), uint16(0))
 	f.Add(uint64(4), uint8(2), uint8(7), uint16(0), uint16(0))
@@ -130,6 +133,7 @@ func FuzzUnleveledMatchesPerWrite(f *testing.F) {
 	f.Add(uint64(2), uint8(4), uint8(7), uint16(0), uint16(500))
 	f.Add(uint64(3), uint8(5), uint8(1), uint16(0), uint16(1025))
 	f.Add(uint64(6), uint8(1), uint8(2), uint16(1095), uint16(3000))
+	f.Add(uint64(5), uint8(0), uint8(1), uint16(1020), uint16(0))
 	f.Fuzz(func(t *testing.T, seed uint64, ak, sk uint8, floor, maxW uint16) {
 		akind := crossvalAttacks[int(ak)%len(crossvalAttacks)]
 		skind := allSchemeKinds[int(sk)%len(allSchemeKinds)]
