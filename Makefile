@@ -1,14 +1,9 @@
 GO ?= go
 
-# BENCH_OUT names the JSON file `make bench` writes and `make
-# bench-compare` treats as "current"; override it to regenerate an older
-# snapshot (make bench BENCH_OUT=BENCH_PR8.json) or to compare one.
-BENCH_OUT ?= BENCH_PR10.json
+# BENCH_OUT names the JSON file `make bench` writes.
+BENCH_OUT ?= bench.json
 
-# BENCH_BASE is the committed snapshot bench-compare diffs against.
-BENCH_BASE ?= BENCH_PR9.json
-
-.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify faults bench bench-compare bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
+.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify faults bench bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -59,26 +54,19 @@ faults:
 # lifetime, the nvmd submit round trip, and the leveled engine's layers
 # (one WeightedChooser and Zipf draw, one relocation of each randomized
 # swap leveler, one BPA and one UAA epoch), two unleveled cells of the
-# batched direct loop at default scale, parsed to JSON (with
+# batched direct loop and the two fault cells of the per-write route at
+# default scale, parsed to JSON (with
 # NumCPU/GOMAXPROCS metadata) by cmd/benchjson. A second run repeats the
 # runner sweep at GOMAXPROCS 2 and 4 (the -cpu suffixes become
 # benchjson's "procs" field) to record multi-core scaling; it appends to
 # the same log so one conversion sees both. Separate steps so a bench
 # failure stops make instead of vanishing into a pipe.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect)' -benchmem \
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect|PerWriteRoute)' -benchmem \
 		. ./internal/sim/ ./internal/service/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
-
-# bench-compare fails when the current $(BENCH_OUT) regressed more than
-# 20% ns/op against the committed $(BENCH_BASE) snapshot on any
-# benchmark both files contain, and prints a per-name diagnostic for
-# benchmarks present in only one file. CI runs it non-blocking: shared
-# runners are noisy, but the table still lands in the log.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_OUT)
 
 # bench-smoke runs every benchmark exactly once and checks the output
 # still parses — the CI guard that `make bench` cannot rot.

@@ -1,26 +1,15 @@
 // Command benchjson converts `go test -bench` output (read from stdin)
 // into a machine-readable JSON document: one record per benchmark with
 // iterations, ns/op and — when -benchmem was passed — B/op and allocs/op,
-// plus host metadata (go version, GOOS/GOARCH, NumCPU, GOMAXPROCS) so a
-// committed file records the conditions it was measured under.
+// plus host metadata (go version, GOOS/GOARCH, NumCPU, GOMAXPROCS) so the
+// file records the conditions it was measured under.
 //
-// `make bench` pipes the full figure/table/runner suite through it to
-// produce BENCH_PR8.json; `make bench-smoke` uses it as a parse check.
+// `make bench` pipes the full figure/table/runner suite through it;
+// `make bench-smoke` uses it as a parse check.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem . | benchjson -o BENCH_PR8.json
-//	benchjson -compare BENCH_PR5.json BENCH_PR8.json
-//
-// The -compare form reads two previously written documents and exits
-// nonzero when any benchmark present in both regressed by more than
-// -threshold (default 20%) in ns/op; with -allocs F an allocs/op growth
-// beyond fraction F fails too (0 disables the gate). Benchmarks present
-// in only one document cannot regress, but each one is named in a
-// per-benchmark "only in old/new" diagnostic so a silently vanished
-// benchmark is visible in the log. CI runs -compare as a non-blocking
-// step so a noisy runner cannot fail the build, but the table still
-// lands in the log.
+//	go test -run '^$' -bench . -benchmem . | benchjson -o bench.json
 package main
 
 import (
@@ -58,65 +47,7 @@ type Output struct {
 
 func main() {
 	out := flag.String("o", "-", "output file (- for stdout)")
-	comparing := flag.Bool("compare", false, "compare two benchjson documents: benchjson -compare old.json new.json")
-	threshold := flag.Float64("threshold", 0.20, "with -compare, the ns/op regression fraction that fails the run")
-	allocs := flag.Float64("allocs", 0, "with -compare, the allocs/op growth fraction that fails the run (0 disables)")
 	flag.Parse()
-
-	if *comparing {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two arguments: old.json new.json")
-			os.Exit(2)
-		}
-		oldDoc, err := load(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		newDoc, err := load(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		deltas, retired, added := compare(oldDoc.Benchmarks, newDoc.Benchmarks)
-		regressed := false
-		for _, d := range deltas {
-			verdict := "ok"
-			if d.Ratio > 1+*threshold {
-				verdict = "REGRESSION"
-				regressed = true
-			}
-			line := fmt.Sprintf("%-48s procs=%-2d %14.0f -> %14.0f ns/op  %+6.1f%%  %s",
-				d.Name, d.Procs, d.OldNsPerOp, d.NewNsPerOp, (d.Ratio-1)*100, verdict)
-			if *allocs > 0 && d.AllocsRatio > 0 {
-				averdict := "ok"
-				if d.AllocsRatio > 1+*allocs {
-					averdict = "REGRESSION"
-					regressed = true
-				}
-				line += fmt.Sprintf("  %.0f -> %.0f allocs/op  %+6.1f%%  %s",
-					d.OldAllocsPerOp, d.NewAllocsPerOp, (d.AllocsRatio-1)*100, averdict)
-			}
-			fmt.Println(line)
-		}
-		// Unpaired benchmarks cannot regress, but name each one so a bench
-		// that silently vanished (or is measured for the first time) is
-		// visible rather than skipped without a trace.
-		for _, b := range retired {
-			fmt.Printf("%-48s procs=%-2d only in %s — retired or not run; no comparison\n",
-				b.Name, b.Procs, flag.Arg(0))
-		}
-		for _, b := range added {
-			fmt.Printf("%-48s procs=%-2d only in %s — new benchmark; no baseline\n",
-				b.Name, b.Procs, flag.Arg(1))
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: compared %d benchmarks, %d only-old, %d only-new (threshold %+.0f%%)\n",
-			len(deltas), len(retired), len(added), *threshold*100)
-		if regressed {
-			os.Exit(1)
-		}
-		return
-	}
 
 	benches, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
@@ -152,88 +83,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks -> %s\n", len(benches), *out)
-}
-
-// Delta is one name+procs pair present in both compared documents.
-type Delta struct {
-	// Name and Procs identify the benchmark as in Benchmark.
-	Name  string
-	Procs int
-	// OldNsPerOp and NewNsPerOp are the two measurements; Ratio is
-	// new/old, so 1.25 means the new run is 25% slower.
-	OldNsPerOp float64
-	NewNsPerOp float64
-	Ratio      float64
-	// OldAllocsPerOp, NewAllocsPerOp and AllocsRatio mirror the ns/op
-	// triple for the -benchmem allocation count; AllocsRatio is 0 when
-	// either document lacks the measurement (no -benchmem, or zero
-	// allocations in the baseline — nothing meaningful to gate).
-	OldAllocsPerOp float64
-	NewAllocsPerOp float64
-	AllocsRatio    float64
-}
-
-// load reads a document previously written with -o.
-func load(path string) (Output, error) {
-	var doc Output
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return doc, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
-}
-
-// compare pairs benchmarks by name+procs and reports the ns/op (and,
-// when both sides measured it, allocs/op) ratio for every pair,
-// preserving the new document's order. Benchmarks present in only one
-// document are returned separately — adding or retiring a benchmark is
-// not a regression, but the caller names each one so nothing vanishes
-// silently. retired preserves the old document's order, added the new
-// document's.
-func compare(oldB, newB []Benchmark) (deltas []Delta, retired, added []Benchmark) {
-	type key struct {
-		name  string
-		procs int
-	}
-	olds := make(map[key]Benchmark, len(oldB))
-	paired := make(map[key]bool, len(oldB))
-	for _, b := range oldB {
-		olds[key{b.Name, b.Procs}] = b
-	}
-	for _, nb := range newB {
-		k := key{nb.Name, nb.Procs}
-		ob, found := olds[k]
-		if !found {
-			added = append(added, nb)
-			continue
-		}
-		paired[k] = true
-		if ob.NsPerOp <= 0 {
-			continue
-		}
-		d := Delta{
-			Name:       nb.Name,
-			Procs:      nb.Procs,
-			OldNsPerOp: ob.NsPerOp,
-			NewNsPerOp: nb.NsPerOp,
-			Ratio:      nb.NsPerOp / ob.NsPerOp,
-		}
-		if ob.AllocsPerOp > 0 {
-			d.OldAllocsPerOp = ob.AllocsPerOp
-			d.NewAllocsPerOp = nb.AllocsPerOp
-			d.AllocsRatio = nb.AllocsPerOp / ob.AllocsPerOp
-		}
-		deltas = append(deltas, d)
-	}
-	for _, ob := range oldB {
-		if !paired[key{ob.Name, ob.Procs}] {
-			retired = append(retired, ob)
-		}
-	}
-	return deltas, retired, added
 }
 
 // parse scans go test output for result lines. A result line is

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"math"
 	"strings"
 	"testing"
 )
@@ -27,81 +26,5 @@ func TestParseExtractsResultLines(t *testing.T) {
 	}
 	if b := benches[1]; b.Name != "RunnerScaling" || b.Procs != 4 || b.NsPerOp != 2.5e6 || b.BytesPerOp != 128 || b.AllocsPerOp != 2 {
 		t.Errorf("second = %+v", b)
-	}
-}
-
-func TestCompareKeysByNameAndProcs(t *testing.T) {
-	oldB := []Benchmark{
-		{Name: "Fig7Cell", Procs: 1, NsPerOp: 1000},
-		{Name: "RunnerScaling", Procs: 1, NsPerOp: 400},
-		{Name: "RunnerScaling", Procs: 2, NsPerOp: 250},
-		{Name: "Retired", Procs: 1, NsPerOp: 99},
-	}
-	newB := []Benchmark{
-		{Name: "Fig7Cell", Procs: 1, NsPerOp: 1300},
-		{Name: "RunnerScaling", Procs: 1, NsPerOp: 380},
-		{Name: "RunnerScaling", Procs: 2, NsPerOp: 260},
-		{Name: "Added", Procs: 1, NsPerOp: 1},
-	}
-	deltas, retired, added := compare(oldB, newB)
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 3 (added/retired benches must be skipped): %+v", len(deltas), deltas)
-	}
-	// Order follows the new document.
-	wantRatios := []float64{1.3, 0.95, 1.04}
-	for i, want := range wantRatios {
-		if got := deltas[i].Ratio; math.Abs(got-want) > 1e-9 {
-			t.Errorf("delta %d (%s procs=%d): ratio = %v, want %v", i, deltas[i].Name, deltas[i].Procs, got, want)
-		}
-	}
-	// Same name at different procs must not cross-pair: procs=2 compares
-	// against the old procs=2 entry, not procs=1.
-	if d := deltas[2]; d.Procs != 2 || d.OldNsPerOp != 250 {
-		t.Errorf("procs=2 delta paired wrong: %+v", d)
-	}
-	// Unpaired benchmarks come back by name so the caller can diagnose
-	// them instead of dropping them silently.
-	if len(retired) != 1 || retired[0].Name != "Retired" {
-		t.Errorf("retired = %+v, want [Retired]", retired)
-	}
-	if len(added) != 1 || added[0].Name != "Added" {
-		t.Errorf("added = %+v, want [Added]", added)
-	}
-}
-
-func TestCompareTracksAllocsWhenBothMeasured(t *testing.T) {
-	oldB := []Benchmark{
-		{Name: "WithAllocs", Procs: 1, NsPerOp: 100, AllocsPerOp: 10},
-		{Name: "NoAllocs", Procs: 1, NsPerOp: 100},
-	}
-	newB := []Benchmark{
-		{Name: "WithAllocs", Procs: 1, NsPerOp: 100, AllocsPerOp: 15},
-		{Name: "NoAllocs", Procs: 1, NsPerOp: 100, AllocsPerOp: 5},
-	}
-	deltas, _, _ := compare(oldB, newB)
-	if len(deltas) != 2 {
-		t.Fatalf("got %d deltas, want 2: %+v", len(deltas), deltas)
-	}
-	if d := deltas[0]; math.Abs(d.AllocsRatio-1.5) > 1e-9 || d.OldAllocsPerOp != 10 || d.NewAllocsPerOp != 15 {
-		t.Errorf("allocs delta = %+v, want ratio 1.5", d)
-	}
-	// A baseline without -benchmem data (allocs/op 0) has nothing to gate.
-	if d := deltas[1]; d.AllocsRatio != 0 {
-		t.Errorf("no-baseline allocs ratio = %v, want 0", d.AllocsRatio)
-	}
-}
-
-func TestCompareSkipsZeroBaseline(t *testing.T) {
-	deltas, retired, added := compare(
-		[]Benchmark{{Name: "X", Procs: 1, NsPerOp: 0}},
-		[]Benchmark{{Name: "X", Procs: 1, NsPerOp: 10}},
-	)
-	if len(deltas) != 0 {
-		t.Fatalf("zero-ns/op baseline must be skipped, got %+v", deltas)
-	}
-	// A zero baseline is still paired — it must not masquerade as
-	// retired or added.
-	if len(retired) != 0 || len(added) != 0 {
-		t.Fatalf("zero baseline misclassified: retired=%+v added=%+v", retired, added)
 	}
 }

@@ -4,21 +4,16 @@
 // them through a cached slot→line binding, and index the device.Core
 // slices directly.
 //
-// Both loops run on one epoch driver, runEpochs, which owns the
-// MaxUserWrites cap, the Config.Done poll and the epoch size, and hands
-// each epoch to one specialized inner loop per route: quiescentEpoch,
-// checkedEpoch (unleveled, and leveled under Identity), pcdEpoch,
-// swapEpoch and levelerEpoch. Each inner loop returns the user writes it
-// served, and the driver adds them once per epoch.
-//
-// Unleveled epochs may skip the wear-out compare: while the minimum
-// remaining budget across the bound lines guarantees that no line can die
-// within an epoch, the inner loop degenerates to a counter increment.
-// That quiescence pays only when the weakest bound line has more than
-// epochSize writes left. At the experiments' default scale the weakest
-// line's endurance is below epochSize, so every epoch is checked from the
-// first write on, and safeWrites stops scanning at the first line within
-// one epoch of its budget.
+// RunDetailed has one epoch driver, runEpochs, and three routes: the
+// per-write route (generalEpoch driving a Stepper, stepper.go) and the two
+// loops here, unleveled (runBatchedDirect) and leveled
+// (runBatchedLeveled). The driver owns the MaxUserWrites cap, the
+// Config.Done poll and the epoch size, and hands each epoch to one
+// specialized inner loop: generalEpoch, checkedEpoch (unleveled, and
+// leveled under Identity), pcdEpoch, swapEpoch or levelerEpoch. Each
+// returns the user writes it served, and the driver adds them once per
+// epoch. Every write of the batched loops compares its line's count
+// against the line's endurance inline; no epoch skips that check.
 //
 // Exactness contract: every loop in this file must produce bit-identical
 // Results to the per-write reference engine (see crossval_test.go). The
@@ -42,10 +37,10 @@ import (
 	"maxwe/internal/wearlevel"
 )
 
-// epochSize is the batch length of the SoA loops. It equals the
-// cancellation-polling granularity of the per-write loops (1024 writes)
-// so epoch boundaries land on exactly the user-write indexes where the
-// reference loops poll Config.Done.
+// epochSize is the epoch length of every route and so the
+// cancellation-polling granularity: runEpochs polls Config.Done every 1024
+// user writes, on exactly the user-write indexes where the in-test
+// per-write reference engine polls it.
 const epochSize = 1024
 
 // newSlotLine snapshots scheme.Access for every user slot into a flat
@@ -59,34 +54,7 @@ func newSlotLine(scheme spare.Scheme, userLines int) []int32 {
 	return sl
 }
 
-// safeWrites returns how many further writes — however they distribute
-// over the slots — are guaranteed to wear out no bound line. It is exact,
-// one less than the minimum remaining budget, whenever that is at least
-// epochSize; otherwise it returns 0 at the first bound line with at most
-// epochSize writes left. Any bound below epochSize runs every full epoch
-// checked until the next wear-out, so stopping there moves no epoch from
-// one loop to the other, and once lines start wearing out a scan visits
-// about one line. Recomputed only after wear-outs; callers decrement it as
-// epochs retire.
-func safeWrites(core *device.Core, slotLine []int32) int64 {
-	if len(slotLine) == 0 {
-		return 0
-	}
-	writes, endurance := core.Writes, core.Endurance
-	min := int64(1)<<62 - 1
-	for _, line := range slotLine {
-		rem := endurance[line] - writes[line]
-		if rem <= epochSize {
-			return 0
-		}
-		if rem < min {
-			min = rem
-		}
-	}
-	return min - 1
-}
-
-// runEpochs is the epoch driver of both batched loops. It stops at the
+// runEpochs is the epoch driver of every route. It stops at the
 // MaxUserWrites cap, polls Config.Done at every epoch start and hands
 // epoch the length of the next epoch: epochSize, or less where the cap
 // cuts the last one short. epoch returns the user writes it served and
@@ -120,17 +88,12 @@ func runEpochs(cfg Config, epoch func(size int) (consumed int, ok bool)) (userWr
 	}
 }
 
-// runBatchedDirect is the unleveled, fault-free SoA loop. Each epoch runs
-// quiescentEpoch when no bound line can wear out within it, and otherwise
-// a checked loop that replicates Device.Write inline. The quiescence
-// bound is decremented as epochs retire and rescanned after every epoch
-// that wore a line out.
-//
-// PCD shrinks the user space inside OnWearOut, so its checked epochs run
-// pcdEpoch, which draws each address with Next at the current capacity
-// instead of one NextBatch at the epoch's starting size; quiescent epochs
-// contain no wear-out and keep the batch. slotLine always spans exactly
-// the current user space.
+// runBatchedDirect is the unleveled, fault-free SoA loop: every epoch
+// runs checkedEpoch, which replicates Device.Write inline. PCD shrinks the
+// user space inside OnWearOut, so its epochs run pcdEpoch, which draws
+// each address with Next at the current capacity instead of one NextBatch
+// at the epoch's starting size. slotLine always spans exactly the current
+// user space.
 func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	scheme := e.scheme
 	if scheme.UserLines() == 0 {
@@ -143,42 +106,16 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
 	_, pcd := scheme.(*spare.PCDScheme)
 	slotLine := newSlotLine(scheme, scheme.UserLines())
-	quiescent := safeWrites(core, slotLine)
 	batch := make([]int, epochSize)
-	return runEpochs(cfg, func(size int) (int, bool) {
-		b := batch[:size]
-		if quiescent >= int64(size) {
-			att.NextBatch(len(slotLine), b)
-			quiescentEpoch(b, slotLine, writes)
-			quiescent -= int64(size)
-			return size, true
-		}
-		rebinds := e.rebinds
-		var consumed int
-		var ok bool
+	return runEpochs(cfg, func(size int) (consumed int, ok bool) {
 		if pcd {
 			consumed, slotLine, ok = pcdEpoch(e, att, size, slotLine, writes, endurance, worn)
-		} else {
-			att.NextBatch(len(slotLine), b)
-			consumed, ok = checkedEpoch(e, b, slotLine, writes, endurance, worn)
+			return consumed, ok
 		}
-		if e.rebinds == rebinds {
-			// Still a valid lower bound: each write spends at most one
-			// unit of any line's remaining budget.
-			quiescent -= int64(size)
-		} else if ok {
-			quiescent = safeWrites(core, slotLine)
-		}
-		return consumed, ok
+		b := batch[:size]
+		att.NextBatch(len(slotLine), b)
+		return checkedEpoch(e, b, slotLine, writes, endurance, worn)
 	})
-}
-
-// quiescentEpoch writes the slots of b when no bound line can reach its
-// budget within them: an increment per write and no wear-out compare.
-func quiescentEpoch(b []int, slotLine []int32, writes []int64) {
-	for _, u := range b {
-		writes[slotLine[u]]++
-	}
 }
 
 // checkedEpoch writes the slots of b with the wear-out compare inline: the
@@ -248,9 +185,7 @@ func (m *cachedMover) WriteSlot(u int) bool {
 // randomized swap schemes run swapEpoch on wearlevel.SwapWL's shared
 // perm/credit state with only the rare relocation paying a call, and
 // Identity runs checkedEpoch with no translation at all. Every other
-// leveler runs levelerEpoch through the interface calls. Leveled epochs
-// are always checked — movement writes make a cheap per-write compare
-// simpler than accounting relocation traffic against a quiescence budget.
+// leveler runs levelerEpoch through the interface calls.
 func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	core := dev.Core()
 	writes, endurance, worn := core.Writes, core.Endurance, core.Worn

@@ -1,6 +1,7 @@
 // crossval_test.go cross-validates the struct-of-arrays batched loops
 // (batch.go) against the pre-refactor per-write engine, kept in-test as
-// referenceRunDetailed (optim_test.go), and against runGeneral. The bar
+// referenceRunDetailed (optim_test.go), and against the per-write route
+// (generalEpoch driving a Stepper). The bar
 // is exact Result equality — bit-identical, not approximate — across the
 // full attack × scheme × leveler matrix, MaxUserWrites truncation edges,
 // cancellation, and per-line device state.
@@ -22,7 +23,7 @@ import (
 )
 
 // plainAttack hides an attack's BatchAttack extension so a config is
-// forced onto the per-write loop (runGeneral) — the second way, besides
+// forced onto the per-write route (generalEpoch) — the second way, besides
 // referenceRunDetailed, to obtain per-write behavior, and the only one
 // that exposes the final device for per-line comparison through the
 // public API.
@@ -177,28 +178,49 @@ func TestUnleveledCapEdges(t *testing.T) {
 	}
 }
 
-// TestBatchedDoneSemantics pins the cancellation contract of the batched
-// loops: a Done channel closed before the run stops both engines at the
-// first poll with zero writes served, and an open Done channel must not
-// change the result relative to no channel at all (the polls land on the
-// same 1024-write boundaries as the reference loop's).
+// TestBatchedDoneSemantics pins the cancellation contract of every route:
+// a Done channel closed before the run stops the engine at the first poll
+// with zero writes served, and an open Done channel must not change the
+// result relative to no channel at all (the polls land on the same
+// 1024-write boundaries as the reference loop's).
 func TestBatchedDoneSemantics(t *testing.T) {
 	p := optimProfile()
 	closed := make(chan struct{})
 	close(closed)
 	open := make(chan struct{})
-	cases := []struct{ ak, sk, lk string }{
-		{"uaa", "maxwe", ""},      // batched direct
-		{"bpa", "maxwe", "tlsr"},  // batched leveled
-		{"random", "ps-best", ""}, // batched direct
-		{"uaa", "pcd", ""},        // batched direct, per-write draws under PCD
-		{"bpa", "pcd", ""},
+	cases := []struct {
+		ak, sk, lk    string
+		plain, faults bool
+	}{
+		{ak: "uaa", sk: "maxwe"},              // batched direct
+		{ak: "bpa", sk: "maxwe", lk: "tlsr"},  // batched leveled
+		{ak: "random", sk: "ps-best"},         // batched direct
+		{ak: "uaa", sk: "pcd"},                // batched direct, per-write draws under PCD
+		{ak: "bpa", sk: "pcd"},                // batched direct
+		{ak: "uaa", sk: "maxwe", plain: true}, // per-write
+		{ak: "uaa", sk: "pcd", plain: true},   // per-write, shrinking space
+		{ak: "uaa", sk: "maxwe", faults: true},
 	}
 	for _, tc := range cases {
-		name := tc.ak + "/" + tc.sk + "/" + tc.lk
-		cfg := buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
-		cfg.Done = closed
-		res, dev, err := RunDetailed(cfg)
+		name := fmt.Sprintf("%s/%s/%s plain=%v faults=%v", tc.ak, tc.sk, tc.lk, tc.plain, tc.faults)
+		build := func(done <-chan struct{}) Config {
+			cfg := buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
+			cfg.Done = done
+			if tc.plain {
+				cfg.Attack = plainAttack{inner: cfg.Attack}
+			}
+			if tc.faults {
+				plan, err := faultinject.NewPlan(faultinject.Config{
+					Seed: 5, TransientProb: 0.02, StuckAtProb: 0.002, MetadataProb: 0.002,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = plan
+			}
+			return cfg
+		}
+		res, dev, err := RunDetailed(build(closed))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -207,19 +229,20 @@ func TestBatchedDoneSemantics(t *testing.T) {
 			t.Fatalf("%s: pre-closed Done served %d writes, interrupted=%v",
 				name, res.UserWrites, res.Interrupted)
 		}
-		cfg = buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
-		cfg.Done = open
-		withOpen, dev, err := RunDetailed(cfg)
+		withOpen, dev, err := RunDetailed(build(open))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkCoreInvariants(t, name+" open Done", dev)
-		noDone, _, err := RunDetailed(buildCrossval(p, tc.ak, tc.sk, tc.lk, 0))
+		noDone, _, err := RunDetailed(build(nil))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if withOpen != noDone {
 			t.Fatalf("%s: open Done changed the result: %+v != %+v", name, withOpen, noDone)
+		}
+		if tc.faults && noDone.Faults == (faultinject.Counters{}) {
+			t.Fatalf("%s: fault plan injected nothing", name)
 		}
 	}
 }
@@ -227,7 +250,7 @@ func TestBatchedDoneSemantics(t *testing.T) {
 // TestBatchedPerLineStateMatchesPerWrite compares the refactored engine
 // against the per-write loop at per-line granularity: same Result AND the
 // same writes counter and worn flag on every physical line. plainAttack
-// strips the batch interface so the second run takes the runGeneral path
+// strips the batch interface so the second run takes the per-write route
 // through the public API, which returns its device for inspection.
 func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 	p := optimProfile()
@@ -268,8 +291,9 @@ func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 // FuzzEngineCrossValidation is the satellite property test: arbitrary
 // (attack, scheme, leveler, fault-plan, cap) configurations must produce
 // byte-identical Result JSON from the pre-refactor reference loop and the
-// refactored engine. Fault plans route both engines through runGeneral,
-// so the fuzz also pins the hoisted-UserLines fix against the old
+// refactored engine. Fault plans route the refactored engine through the
+// per-write route, so the fuzz also pins the Stepper's capacity cache,
+// refreshed only across wear-outs, against the reference's
 // re-read-every-write behavior.
 func FuzzEngineCrossValidation(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(1), uint8(4), uint16(0), uint16(0))

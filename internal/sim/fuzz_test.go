@@ -114,17 +114,17 @@ func FuzzFaultPlan(f *testing.F) {
 }
 
 // FuzzUnleveledMatchesPerWrite is the differential fuzz of the batched
-// direct loop against the per-write reference: an arbitrary attack ×
-// scheme × cap without a leveler must leave the same Result and the same
-// writes counter and worn flag on every line as the same config with its
-// batch interface hidden (plainAttack), which runs runGeneral. The
-// endurance floor decides whether the run opens with quiescent epochs (a
-// floor above epochSize) or checks every write. The first four seeds
-// below wear out the last slot of PCD's shrinking space one to three
-// times each, the third and fourth after a quiescent first epoch. The
-// last seed opens at floor 1025: its weakest line has epochSize+1 writes
-// left, one more than safeWrites' early exit takes, so the run opens with
-// exactly one quiescent epoch and then checks every write.
+// direct loop against the per-write route: an arbitrary attack × scheme ×
+// cap without a leveler must leave the same Result and the same writes
+// counter and worn flag on every line as the same config with its batch
+// interface hidden (plainAttack), which runs generalEpoch through a
+// Stepper. The floor argument sets the weakest line's endurance to
+// 5 + floor, which spans weak profiles, whose lines wear out within the
+// first epochs, and high-endurance ones: the seeds with a weakest line of
+// 1025 or 1100 run whole epochs before the first wear-out. The
+// first four seeds wear out the last slot of PCD's shrinking space one to
+// three times each, which the Stepper must follow by refreshing its
+// cached capacity.
 func FuzzUnleveledMatchesPerWrite(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(7), uint16(0), uint16(0))
 	f.Add(uint64(4), uint8(2), uint8(7), uint16(0), uint16(0))

@@ -10,11 +10,13 @@
 // thousands of writes per line) that the per-write engine handles in
 // milliseconds to seconds.
 //
-// RunDetailed runs every config on one of three loops: runGeneral, the
-// per-write reference, for fault plans and attacks without a batch
-// generator; and the batched struct-of-arrays loops of batch.go for the
-// rest, unleveled (runBatchedDirect) or leveled (runBatchedLeveled).
-// Tests cross-validate the batched loops against the per-write engine
+// RunDetailed runs every config on one epoch driver, runEpochs (batch.go),
+// which owns the MaxUserWrites cap, the Config.Done poll and the epoch
+// size for three routes: the per-write route, generalEpoch driving a
+// Stepper, for fault plans and attacks without a batch generator; and
+// the batched struct-of-arrays loops of batch.go for the rest, unleveled
+// (runBatchedDirect) or leveled (runBatchedLeveled). Tests cross-validate
+// every route against an in-test copy of the original per-write engine
 // bit for bit.
 package sim
 
@@ -207,8 +209,8 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, nil, err
 	}
-	dev := device.New(cfg.Profile)
-	e := newEngine(cfg, dev)
+	s := newStepper(cfg)
+	dev, e := s.dev, s.e
 
 	var userWrites int64
 	var interrupted bool
@@ -217,8 +219,10 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 	case cfg.Faults.Enabled() || !batch:
 		// Metadata faults can corrupt slot→line bindings behind the
 		// scheme's back, so fault runs stay on the uncached per-write
-		// loop, as do attacks that cannot emit a batch.
-		userWrites, interrupted = runGeneral(cfg, e)
+		// route, as do attacks that cannot emit a batch.
+		userWrites, interrupted = runEpochs(cfg, func(size int) (int, bool) {
+			return generalEpoch(s, cfg.Attack, size)
+		})
 	case cfg.Leveler == nil:
 		userWrites, interrupted = runBatchedDirect(cfg, dev, e, ba)
 		dev.Core().Total += userWrites
@@ -227,65 +231,6 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 		dev.Core().Total += userWrites
 	}
 	return buildResult(cfg, dev, userWrites, e, interrupted), dev, nil
-}
-
-// runGeneral is the per-write reference loop, for fault-injecting
-// configurations and attacks without NextBatch: every write flows through
-// engine.WriteSlot (and relocation traffic through the Mover interface).
-// The logical address space never changes size, so it is hoisted out of
-// the loop. The unleveled user capacity is also hoisted: it can only
-// change inside a wear-out replacement (PCD's shrink, or a fault-path
-// rebind), so it is refreshed exactly when the engine's rebind counter
-// moves instead of being two interface calls per write.
-func runGeneral(cfg Config, e *engine) (userWrites int64, interrupted bool) {
-	logicalLines := 0
-	if cfg.Leveler != nil {
-		logicalLines = cfg.Leveler.LogicalLines()
-	}
-	userLines := cfg.Scheme.UserLines()
-	rebinds := e.rebinds
-	for {
-		if cfg.MaxUserWrites > 0 && userWrites >= cfg.MaxUserWrites {
-			return userWrites, false
-		}
-		if cfg.Done != nil && userWrites&1023 == 0 {
-			select {
-			case <-cfg.Done:
-				return userWrites, true
-			default:
-			}
-		}
-		// The write that exhausts a line's budget still completes (the
-		// replacement procedure runs afterwards), so it counts as served
-		// even when the device fails to recover from it.
-		if cfg.Leveler == nil {
-			if userLines == 0 {
-				e.failed = true
-				return userWrites, false
-			}
-			u := cfg.Attack.Next(userLines)
-			ok := e.WriteSlot(u)
-			userWrites++
-			if !ok {
-				return userWrites, false
-			}
-			if e.rebinds != rebinds {
-				rebinds = e.rebinds
-				userLines = cfg.Scheme.UserLines()
-			}
-			continue
-		}
-		lla := cfg.Attack.Next(logicalLines)
-		u := cfg.Leveler.Translate(lla)
-		ok := e.WriteSlot(u)
-		userWrites++
-		if !ok {
-			return userWrites, false
-		}
-		if !cfg.Leveler.OnWrite(lla, e) {
-			return userWrites, false
-		}
-	}
 }
 
 func buildResult(cfg Config, dev *device.Device, userWrites int64, e *engine, interrupted bool) Result {

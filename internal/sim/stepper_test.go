@@ -10,41 +10,40 @@ import (
 	"maxwe/internal/xrand"
 )
 
+// TestStepperMatchesRunUnderUAA feeds a Stepper the UAA sweep by hand
+// and demands the full Result of the batched Run of the same stack. Under
+// PCD the sweep follows the shrinking space through LogicalLines, which
+// pins the Stepper's capacity cache, refreshed only when a wear-out
+// rebinds a slot, against the batched PCD loop.
 func TestStepperMatchesRunUnderUAA(t *testing.T) {
 	p := endurance.Linear(16, 8, 20, 1000).Shuffled(xrand.New(1))
-
-	ran, err := Run(Config{
-		Profile: p,
-		Scheme:  spare.NewMaxWE(p, spare.DefaultMaxWEOptions()),
-		Attack:  attack.NewUAA(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	schemes := map[string]func() spare.Scheme{
+		"max-we": func() spare.Scheme { return spare.NewMaxWE(p, spare.DefaultMaxWEOptions()) },
+		"pcd":    func() spare.Scheme { return spare.NewPCD(p.Lines(), p.Lines()-p.Lines()/10) },
 	}
-
-	st, err := NewStepper(Config{
-		Profile: p,
-		Scheme:  spare.NewMaxWE(p, spare.DefaultMaxWEOptions()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lla := 0
-	for st.Write(lla) {
-		lla++
-		if lla >= st.LogicalLines() {
-			lla = 0
+	for name, build := range schemes {
+		ran, err := Run(Config{Profile: p, Scheme: build(), Attack: attack.NewUAA()})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	stepped := st.Result()
-	if stepped.UserWrites != ran.UserWrites {
-		t.Fatalf("stepper served %d writes, Run served %d", stepped.UserWrites, ran.UserWrites)
-	}
-	if stepped.NormalizedLifetime != ran.NormalizedLifetime {
-		t.Fatal("normalized lifetimes differ")
-	}
-	if !stepped.Failed {
-		t.Fatal("stepper result not marked failed")
+		st, err := NewStepper(Config{Profile: p, Scheme: build()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lla := 0
+		for st.Write(lla) {
+			lla++
+			if lla >= st.LogicalLines() {
+				lla = 0
+			}
+		}
+		stepped := st.Result()
+		if stepped != ran {
+			t.Fatalf("%s: stepper %+v != Run %+v", name, stepped, ran)
+		}
+		if !stepped.Failed || stepped.WornLines == 0 {
+			t.Fatalf("%s: stepper result not a failed run with wear-outs: %+v", name, stepped)
+		}
 	}
 }
 
