@@ -3,7 +3,7 @@ GO ?= go
 # BENCH_OUT names the JSON file `make bench` writes.
 BENCH_OUT ?= bench.json
 
-.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify faults bench bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
+.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify faults fuzz-smoke bench bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -48,9 +48,20 @@ faults:
 	$(GO) run -race ./cmd/nvmsim -regions 128 -lines-per-region 8 -endurance 300 \
 		-fault-transient 0.01 -fault-stuckat 0.0005 -fault-metadata 0.0005 -fault-seed 7
 
+# fuzz-smoke runs every Fuzz* target of the module for 5 s, one
+# `go test -fuzz` per target (the fuzzer takes one target at a time). A
+# failing input lands in the package's testdata/fuzz for replay.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' . | grep -v '^./_perfbench/' | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$t in $$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s $$(dirname $$f)/; \
+		done; \
+	done
+
 # bench regenerates $(BENCH_OUT): every figure/table bench (including
 # the cold/warm memo-cache sweep), the sweep supervisor at Parallelism 1
-# vs 0, the batched Fig7 cell against its per-write reference, one UAA
+# vs 0, the runner's own per-cell cost on no-op cells, the batched Fig7 cell against its per-write reference, one UAA
 # lifetime, the nvmd submit round trip, and the leveled engine's layers
 # (one WeightedChooser and Zipf draw, one relocation of each randomized
 # swap leveler, one BPA and one UAA epoch), two unleveled cells of the
@@ -63,7 +74,7 @@ faults:
 # failure stops make instead of vanishing into a pipe.
 bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect|PerWriteRoute)' -benchmem \
-		. ./internal/sim/ ./internal/service/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench.out
+		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
@@ -72,7 +83,7 @@ bench:
 # still parses — the CI guard that `make bench` cannot rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem \
-		. ./internal/sim/ ./internal/service/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench-smoke.out
+		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench-smoke.out
 	$(GO) run ./cmd/benchjson -o /dev/null < bench-smoke.out
 	@rm -f bench-smoke.out
 
@@ -101,4 +112,4 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # verify is the tier-1 gate: everything CI runs, one command.
-verify: build vet test race race-concurrent lint faults bench-smoke chaos-smoke serve-smoke cluster-smoke
+verify: build vet test race race-concurrent lint faults fuzz-smoke bench-smoke chaos-smoke serve-smoke cluster-smoke

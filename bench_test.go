@@ -179,18 +179,11 @@ func BenchmarkFig6SparePercentUAA(b *testing.B) {
 func BenchmarkFig7SWRPercentBPA(b *testing.B) {
 	s := benchSetup()
 	percents := []int{0, 20, 60, 80, 90, 100}
-	rows := experiments.Fig7(s, percents, experiments.WLNames())
-	printOnce("fig7", func() {
-		t := report.NewTable("Figure 7 — normalized lifetime under BPA vs SWR percentage",
-			"wear leveling", "swr %", "normalized lifetime")
-		for _, r := range rows {
-			t.AddRow(r.WL, r.SWRPercent, r.Normalized)
-		}
-		_, _ = t.WriteTo(os.Stdout)
-	})
+	rows := benchFig7(b, s, percents)
+	printOnce("fig7", func() { _, _ = experiments.Fig7Table(rows).WriteTo(os.Stdout) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Fig7(s, percents, experiments.WLNames())
+		benchFig7(b, s, percents)
 	}
 }
 
@@ -199,22 +192,32 @@ func BenchmarkFig7SWRPercentBPA(b *testing.B) {
 // geometric-mean group.
 func BenchmarkFig8SpareSchemesBPA(b *testing.B) {
 	s := benchSetup()
-	rows, gmeans := experiments.Fig8(s)
-	printOnce("fig8", func() {
-		t := report.NewTable("Figure 8 — spare-scheme comparison under BPA",
-			"wear leveling", "scheme", "normalized lifetime")
-		for _, r := range rows {
-			t.AddRow(r.WL, r.Scheme, r.Normalized)
-		}
-		for _, scheme := range experiments.SchemeNames() {
-			t.AddRow("gmean", scheme, gmeans[scheme])
-		}
-		_, _ = t.WriteTo(os.Stdout)
-	})
+	rows, gmeans := benchFig8(b, s)
+	printOnce("fig8", func() { _, _ = experiments.Fig8Table(rows, gmeans).WriteTo(os.Stdout) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Fig8(s)
+		benchFig8(b, s)
 	}
+}
+
+// benchFig7 runs the Figure 7 sweep with one worker and fails b on any
+// runner error or failed cell.
+func benchFig7(b *testing.B, s experiments.Setup, percents []int) []experiments.Fig7Row {
+	rows, rep, err := experiments.Fig7Sweep(context.Background(), runner.Config{Parallelism: 1},
+		s, percents, experiments.WLNames())
+	if err != nil || len(rep.Failed) != 0 {
+		b.Fatalf("fig7 sweep: %v %+v", err, rep.Failed)
+	}
+	return rows
+}
+
+// benchFig8 is benchFig7 for the Figure 8 sweep.
+func benchFig8(b *testing.B, s experiments.Setup) ([]experiments.Fig8Row, map[string]float64) {
+	rows, gmeans, rep, err := experiments.Fig8Sweep(context.Background(), runner.Config{Parallelism: 1}, s)
+	if err != nil || len(rep.Failed) != 0 {
+		b.Fatalf("fig8 sweep: %v %+v", err, rep.Failed)
+	}
+	return rows, gmeans
 }
 
 // BenchmarkTableUAALifetime regenerates the Section 5.3.1 text table:
@@ -671,8 +674,8 @@ func benchRunnerSweep(b *testing.B, parallelism int) {
 	}
 }
 
-// BenchmarkRunnerSequential runs the Fig 8 sweep on the exact sequential
-// path (Parallelism 1).
+// BenchmarkRunnerSequential runs the Fig 8 sweep on one worker
+// (Parallelism 1).
 func BenchmarkRunnerSequential(b *testing.B) { benchRunnerSweep(b, 1) }
 
 // BenchmarkRunnerParallel runs the same sweep with one worker per CPU

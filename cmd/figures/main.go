@@ -294,15 +294,12 @@ func fig7(s experiments.Setup) {
 	total := len(percents) * len(experiments.WLNames())
 	rows, rep, err := experiments.Fig7Sweep(runCtx, sweepConfig("fig7", s), s, percents, experiments.WLNames())
 	reportSweep("fig7", rep, total, err)
-	t := report.NewTable("Figure 7 — normalized lifetime under BPA vs SWR percentage",
-		"wear leveling", "swr %", "normalized lifetime")
-	series := map[string][]float64{}
-	for _, r := range rows {
-		t.AddRow(r.WL, r.SWRPercent, r.Normalized)
-		series[r.WL] = append(series[r.WL], r.Normalized)
-	}
-	emit(t)
-	if !*csvFlag && !*jsonFlag && len(rows) == len(percents)*len(experiments.WLNames()) {
+	emit(experiments.Fig7Table(rows))
+	if !*csvFlag && !*jsonFlag && len(rows) == total {
+		series := map[string][]float64{}
+		for _, r := range rows {
+			series[r.WL] = append(series[r.WL], r.Normalized)
+		}
 		labels := make([]string, len(percents))
 		for i, p := range percents {
 			labels[i] = fmt.Sprintf("%d%%", p)
@@ -317,17 +314,7 @@ func fig8(s experiments.Setup) {
 	total := len(experiments.WLNames()) * len(experiments.SchemeNames())
 	rows, gmeans, rep, err := experiments.Fig8Sweep(runCtx, sweepConfig("fig8", s), s)
 	reportSweep("fig8", rep, total, err)
-	t := report.NewTable("Figure 8 — spare-scheme comparison under BPA",
-		"wear leveling", "scheme", "normalized lifetime")
-	for _, r := range rows {
-		t.AddRow(r.WL, r.Scheme, r.Normalized)
-	}
-	for _, scheme := range experiments.SchemeNames() {
-		if g, ok := gmeans[scheme]; ok {
-			t.AddRow("gmean", scheme, g)
-		}
-	}
-	emit(t)
+	emit(experiments.Fig8Table(rows, gmeans))
 }
 
 func tableUAA(s experiments.Setup) {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"maxwe/internal/ecp"
 	"maxwe/internal/experiments"
 	"maxwe/internal/mapping"
+	"maxwe/internal/runner"
 	"maxwe/internal/sim"
 	"maxwe/internal/spare"
 	"maxwe/internal/xrand"
@@ -89,7 +91,11 @@ func main() {
 				rows[0].Normalized, rows[len(rows)-1].Normalized), true
 		}},
 		{"Fig 7: wawl > bwl > tlsr under BPA at SWR=0", func() (string, bool) {
-			rows := experiments.Fig7(s, []int{0}, experiments.WLNames())
+			rows, rep, err := experiments.Fig7Sweep(context.Background(), runner.Config{Parallelism: 1},
+				s, []int{0}, experiments.WLNames())
+			if err != nil || len(rep.Failed) != 0 {
+				return fmt.Sprintf("sweep failed: %v %v", err, rep.Failed), false
+			}
 			by := map[string]float64{}
 			for _, r := range rows {
 				by[r.WL] = r.Normalized
@@ -99,7 +105,10 @@ func main() {
 				by["wawl"] > by["bwl"] && by["bwl"] > by["tlsr"]
 		}},
 		{"Fig 8: gmean ordering max-we > pcd/ps > ps-worst under BPA", func() (string, bool) {
-			_, gmeans := experiments.Fig8(s)
+			_, gmeans, rep, err := experiments.Fig8Sweep(context.Background(), runner.Config{Parallelism: 1}, s)
+			if err != nil || len(rep.Failed) != 0 {
+				return fmt.Sprintf("sweep failed: %v %v", err, rep.Failed), false
+			}
 			return fmt.Sprintf("got %.3f/%.3f/%.3f",
 					gmeans["max-we"], gmeans["pcd/ps"], gmeans["ps-worst"]),
 				gmeans["max-we"] > gmeans["pcd/ps"] && gmeans["pcd/ps"] > gmeans["ps-worst"]

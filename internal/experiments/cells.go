@@ -13,6 +13,7 @@ import (
 
 	"maxwe/internal/attack"
 	"maxwe/internal/endurance"
+	"maxwe/internal/report"
 	"maxwe/internal/runner"
 	"maxwe/internal/sim"
 	"maxwe/internal/spare"
@@ -43,11 +44,15 @@ func (s Setup) CellFingerprint(key string) string {
 	return fmt.Sprintf("cells/v%d/%s/%s", sim.EngineSchemaVersion, s.Fingerprint(), key)
 }
 
-// runBPACtx is runBPA with cooperative cancellation: the simulation polls
-// ctx and an interrupted run surfaces as ctx's error, so the runner
-// leaves the cell incomplete instead of recording a truncated lifetime.
-func (s Setup) runBPACtx(ctx context.Context, p *endurance.Profile, sch spare.Scheme, wl string) (float64, error) {
-	lev := NewLeveler(wl, sch, p, s.Psi, xrand.New(s.Seed+2))
+// runBPA runs the birthday-paradox attack against sch under the named
+// leveler and returns the normalized lifetime. The simulation polls ctx,
+// and an interrupted run surfaces as ctx's error, so the runner leaves
+// the cell incomplete instead of recording a truncated lifetime.
+func (s Setup) runBPA(ctx context.Context, p *endurance.Profile, sch spare.Scheme, wl string) (float64, error) {
+	lev, err := newLeveler(wl, sch, p, s.Psi, xrand.New(s.Seed+2))
+	if err != nil {
+		return 0, err
+	}
 	res, err := sim.Run(sim.Config{
 		Profile: p,
 		Scheme:  sch,
@@ -64,9 +69,11 @@ func (s Setup) runBPACtx(ctx context.Context, p *endurance.Profile, sch spare.Sc
 	return res.NormalizedLifetime, nil
 }
 
-// Fig7Cells decomposes Fig7 into one cell per (wear leveler, SWR percent)
-// combination, keyed "fig7/<wl>/<percent>". Running every cell and
-// assembling with Fig7FromResults reproduces Fig7's rows exactly.
+// Fig7Cells decomposes Figure 7 — lifetime under BPA as the SWR share of
+// the spare capacity sweeps, per wear-leveling substrate, with the spare
+// budget fixed at 10% — into one cell per (wear leveler, SWR percent)
+// combination, keyed "fig7/<wl>/<percent>". It panics on a percent
+// outside [0, 100].
 func Fig7Cells(s Setup, swrPercents []int, wls []string) []runner.Cell[Fig7Row] {
 	p := s.Profile()
 	var cells []runner.Cell[Fig7Row]
@@ -82,7 +89,7 @@ func Fig7Cells(s Setup, swrPercents []int, wls []string) []runner.Cell[Fig7Row] 
 				Run: func(ctx context.Context) (Fig7Row, error) {
 					opts := spare.DefaultMaxWEOptions()
 					opts.SWRFraction = float64(pct) / 100
-					nl, err := s.runBPACtx(ctx, p, spare.NewMaxWE(p, opts), wl)
+					nl, err := s.runBPA(ctx, p, spare.NewMaxWE(p, opts), wl)
 					if err != nil {
 						return Fig7Row{}, err
 					}
@@ -94,7 +101,7 @@ func Fig7Cells(s Setup, swrPercents []int, wls []string) []runner.Cell[Fig7Row] 
 	return cells
 }
 
-// Fig7FromResults assembles completed Fig7 cells back into Fig7's row
+// Fig7FromResults assembles completed Fig7 cells back into Figure 7's row
 // order (wear levelers outer, SWR percents inner). Cells missing from
 // results — failed or not yet computed — are skipped.
 func Fig7FromResults(results map[string]Fig7Row, swrPercents []int, wls []string) []Fig7Row {
@@ -109,10 +116,9 @@ func Fig7FromResults(results map[string]Fig7Row, swrPercents []int, wls []string
 	return rows
 }
 
-// Fig8Cells decomposes Fig8 into one cell per (wear leveler, spare
-// scheme) combination, keyed "fig8/<wl>/<scheme>". Running every cell and
-// assembling with Fig8FromResults reproduces Fig8's rows and geometric
-// means exactly.
+// Fig8Cells decomposes Figure 8 — the three spare schemes under BPA
+// across the four wear-leveling substrates — into one cell per (wear
+// leveler, spare scheme) combination, keyed "fig8/<wl>/<scheme>".
 func Fig8Cells(s Setup) []runner.Cell[Fig8Row] {
 	p := s.Profile()
 	var cells []runner.Cell[Fig8Row]
@@ -123,7 +129,7 @@ func Fig8Cells(s Setup) []runner.Cell[Fig8Row] {
 				Key:         key,
 				Fingerprint: s.CellFingerprint(key),
 				Run: func(ctx context.Context) (Fig8Row, error) {
-					nl, err := s.runBPACtx(ctx, p, newScheme(scheme, p, s.Seed), wl)
+					nl, err := s.runBPA(ctx, p, newScheme(scheme, p, s.Seed), wl)
 					if err != nil {
 						return Fig8Row{}, err
 					}
@@ -158,10 +164,10 @@ func Fig8Sweep(ctx context.Context, cfg runner.Config, s Setup) ([]Fig8Row, map[
 	return rows, gmeans, rep, nil
 }
 
-// Fig8FromResults assembles completed Fig8 cells back into Fig8's row
-// order and recomputes the per-scheme geometric means over the rows
-// present. Cells missing from results are skipped (their scheme's gmean
-// then covers fewer wear levelers).
+// Fig8FromResults assembles completed Fig8 cells back into Figure 8's row
+// order and computes the per-scheme geometric means (the paper's Gmean
+// group) over the rows present. Cells missing from results are skipped
+// (their scheme's gmean then covers fewer wear levelers).
 func Fig8FromResults(results map[string]Fig8Row) ([]Fig8Row, map[string]float64) {
 	var rows []Fig8Row
 	perScheme := map[string][]float64{}
@@ -180,4 +186,31 @@ func Fig8FromResults(results map[string]Fig8Row) ([]Fig8Row, map[string]float64)
 		gmeans[scheme] = stats.GeoMean(vals)
 	}
 	return rows, gmeans
+}
+
+// Fig7Table renders Figure 7's rows as the table cmd/figures, the nvmd
+// results and the benches print.
+func Fig7Table(rows []Fig7Row) *report.Table {
+	t := report.NewTable("Figure 7 — normalized lifetime under BPA vs SWR percentage",
+		"wear leveling", "swr %", "normalized lifetime")
+	for _, r := range rows {
+		t.AddRow(r.WL, r.SWRPercent, r.Normalized)
+	}
+	return t
+}
+
+// Fig8Table renders Figure 8's rows followed by one gmean row per scheme
+// present in gmeans, in SchemeNames order.
+func Fig8Table(rows []Fig8Row, gmeans map[string]float64) *report.Table {
+	t := report.NewTable("Figure 8 — spare-scheme comparison under BPA",
+		"wear leveling", "scheme", "normalized lifetime")
+	for _, r := range rows {
+		t.AddRow(r.WL, r.Scheme, r.Normalized)
+	}
+	for _, scheme := range SchemeNames() {
+		if g, ok := gmeans[scheme]; ok {
+			t.AddRow("gmean", scheme, g)
+		}
+	}
+	return t
 }

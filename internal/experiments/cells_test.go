@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"maxwe/internal/memo"
 	"maxwe/internal/runner"
+	"maxwe/internal/sim"
 	"maxwe/internal/stats"
 )
 
@@ -23,38 +28,93 @@ func fig8Sweep(t *testing.T, cfg runner.Config, s Setup) runner.Report[Fig8Row] 
 	return rep
 }
 
-func TestFig8CellsMatchMonolithicFig8(t *testing.T) {
-	s := QuickSetup()
-	wantRows, wantGmeans := Fig8(s)
-
-	rep := fig8Sweep(t, runner.Config{}, s)
-	rows, gmeans := Fig8FromResults(rep.Results)
-	if !reflect.DeepEqual(wantRows, rows) {
-		t.Fatalf("cell rows diverge from Fig8:\nwant %+v\ngot  %+v", wantRows, rows)
+// goldenLifetimes reads the NormalizedLifetime of every
+// testdata/results.golden entry whose key starts with prefix, with the
+// keys in file order.
+func goldenLifetimes(t *testing.T, prefix string) ([]string, map[string]float64) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for scheme, want := range wantGmeans {
-		if !stats.ApproxEqual(gmeans[scheme], want, 0) {
-			t.Fatalf("gmean[%s] = %v, want %v", scheme, gmeans[scheme], want)
+	var keys []string
+	want := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		key, doc, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(key, prefix) {
+			continue
 		}
+		var res sim.Result
+		if err := json.Unmarshal([]byte(doc), &res); err != nil {
+			t.Fatalf("golden %s: %v", key, err)
+		}
+		keys = append(keys, key)
+		want[key] = res.NormalizedLifetime
 	}
+	return keys, want
 }
 
+// TestFig7CellsMatchMonolithicFig7 pins the Fig 7 cells to what the
+// former sequential Fig7 computed, as recorded in testdata/results.golden:
+// at QuickSetup every Fig7Sweep row equals the NormalizedLifetime of its
+// golden entry, in golden row order.
 func TestFig7CellsMatchMonolithicFig7(t *testing.T) {
-	s := QuickSetup()
-	pcts := []int{0, 90}
-	wls := []string{"tlsr", "bwl"}
-	want := Fig7(s, pcts, wls)
-
-	rep, err := runner.Run(context.Background(), runner.Config{}, Fig7Cells(s, pcts, wls))
+	keys, want := goldenLifetimes(t, "fig7/")
+	rows, rep, err := Fig7Sweep(context.Background(), runner.Config{Parallelism: 1},
+		QuickSetup(), Fig7DefaultPercents(), WLNames())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Failed) != 0 {
 		t.Fatalf("failed cells: %+v", rep.Failed)
 	}
-	got := Fig7FromResults(rep.Results, pcts, wls)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("cell rows diverge from Fig7:\nwant %+v\ngot  %+v", want, got)
+	var got []string
+	for _, r := range rows {
+		key := fmt.Sprintf("fig7/%s/%d", r.WL, r.SWRPercent)
+		got = append(got, key)
+		if r.Normalized != want[key] {
+			t.Errorf("%s = %v, golden %v", key, r.Normalized, want[key])
+		}
+	}
+	if !reflect.DeepEqual(got, keys) {
+		t.Fatalf("row order %v, golden order %v", got, keys)
+	}
+}
+
+// TestFig8CellsMatchMonolithicFig8 pins the Fig 8 cells to what the
+// former sequential Fig8 computed, as recorded in testdata/results.golden:
+// at QuickSetup every Fig8Sweep row equals the NormalizedLifetime of its
+// golden entry, in golden row order, and each gmean is the geometric mean
+// of those golden values.
+func TestFig8CellsMatchMonolithicFig8(t *testing.T) {
+	keys, want := goldenLifetimes(t, "fig8/")
+	rows, gmeans, rep, err := Fig8Sweep(context.Background(), runner.Config{Parallelism: 1}, QuickSetup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) != 0 {
+		t.Fatalf("failed cells: %+v", rep.Failed)
+	}
+	var got []string
+	perScheme := map[string][]float64{}
+	for _, r := range rows {
+		key := fmt.Sprintf("fig8/%s/%s", r.WL, r.Scheme)
+		got = append(got, key)
+		if r.Normalized != want[key] {
+			t.Errorf("%s = %v, golden %v", key, r.Normalized, want[key])
+		}
+		perScheme[r.Scheme] = append(perScheme[r.Scheme], want[key])
+	}
+	if !reflect.DeepEqual(got, keys) {
+		t.Fatalf("row order %v, golden order %v", got, keys)
+	}
+	if len(gmeans) != len(SchemeNames()) {
+		t.Fatalf("gmeans %v, want one per scheme", gmeans)
+	}
+	for _, scheme := range SchemeNames() {
+		if g := stats.GeoMean(perScheme[scheme]); gmeans[scheme] != g {
+			t.Errorf("gmean[%s] = %v, want %v", scheme, gmeans[scheme], g)
+		}
 	}
 }
 
@@ -67,7 +127,7 @@ func TestFig8SweepResumesBitIdentical(t *testing.T) {
 	cfg := runner.Config{
 		CheckpointPath: filepath.Join(t.TempDir(), "fig8.ckpt.json"),
 		Fingerprint:    s.Fingerprint(),
-		// Parallelism 1 pins the sequential cut line: with a worker pool,
+		// Parallelism 1 pins the sequential cut line: with more workers,
 		// every remaining cell may already be in flight when the third Done
 		// lands, and a cancellation that outruns no work interrupts nothing.
 		Parallelism: 1,

@@ -16,7 +16,6 @@ import (
 	"maxwe/internal/endurance"
 	"maxwe/internal/sim"
 	"maxwe/internal/spare"
-	"maxwe/internal/stats"
 	"maxwe/internal/wearlevel"
 	"maxwe/internal/xrand"
 )
@@ -151,9 +150,20 @@ func (s Setup) Profile() *endurance.Profile {
 func WLNames() []string { return []string{"tlsr", "pcm-s", "bwl", "wawl"} }
 
 // NewLeveler constructs the named wear-leveling substrate over scheme's
-// user space. Endurance-aware schemes receive per-slot metrics derived
-// from the manufacture-time region metric of each slot's base line.
+// user space (see wearlevel.New), panicking on a name or slot count the
+// substrate cannot take. Endurance-aware schemes receive per-slot metrics
+// derived from the manufacture-time region metric of each slot's base
+// line.
 func NewLeveler(name string, sch spare.Scheme, p *endurance.Profile, psi int, src *xrand.Source) wearlevel.Leveler {
+	lev, err := newLeveler(name, sch, p, psi, src)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return lev
+}
+
+// newLeveler is NewLeveler returning the construction error.
+func newLeveler(name string, sch spare.Scheme, p *endurance.Profile, psi int, src *xrand.Source) (wearlevel.Leveler, error) {
 	slots := sch.UserLines()
 	metrics := func() []float64 {
 		ms := make([]float64, slots)
@@ -162,54 +172,7 @@ func NewLeveler(name string, sch spare.Scheme, p *endurance.Profile, psi int, sr
 		}
 		return ms
 	}
-	switch name {
-	case "identity":
-		return wearlevel.NewIdentity(slots)
-	case "start-gap":
-		return wearlevel.NewStartGap(slots, psi)
-	case "stress-aware":
-		return wearlevel.NewStressAware(slots, psi)
-	case "partitioned-start-gap":
-		const partitions = 8
-		if slots%partitions != 0 {
-			panic(fmt.Sprintf("experiments: %d slots not divisible into %d partitions", slots, partitions))
-		}
-		return wearlevel.NewPartitioned(partitions, slots/partitions, src,
-			func(_, partSlots int) wearlevel.Leveler {
-				return wearlevel.NewStartGap(partSlots, psi)
-			})
-	case "twl":
-		if slots%2 != 0 {
-			panic(fmt.Sprintf("experiments: twl needs an even slot count, got %d", slots))
-		}
-		return wearlevel.NewTWL(slots, metrics(), src)
-	case "tlsr":
-		return wearlevel.NewTLSR(slots, psi, src)
-	case "pcm-s":
-		return wearlevel.NewPCMS(slots, psi, src)
-	case "bwl":
-		return wearlevel.NewBWL(slots, metrics(), psi, src)
-	case "wawl":
-		return wearlevel.NewWAWL(slots, metrics(), psi, src)
-	default:
-		panic(fmt.Sprintf("experiments: unknown wear-leveling scheme %q", name))
-	}
-}
-
-// runBPA runs the birthday-paradox attack against sch under the named
-// leveler and returns the normalized lifetime.
-func (s Setup) runBPA(p *endurance.Profile, sch spare.Scheme, wl string) float64 {
-	lev := NewLeveler(wl, sch, p, s.Psi, xrand.New(s.Seed+2))
-	res, err := sim.Run(sim.Config{
-		Profile: p,
-		Scheme:  sch,
-		Leveler: lev,
-		Attack:  attack.DefaultBPA(xrand.New(s.Seed + 3)),
-	})
-	if err != nil {
-		panic(fmt.Errorf("experiments: sim rejected a validated config: %w", err))
-	}
-	return res.NormalizedLifetime
+	return wearlevel.New(name, slots, metrics, psi, src)
 }
 
 // runUAA runs the uniform address attack (no wear leveling, per the
@@ -265,30 +228,6 @@ type Fig7Row struct {
 // job defaults.
 func Fig7DefaultPercents() []int { return []int{0, 20, 60, 80, 90, 100} }
 
-// Fig7 sweeps the SWR share of the spare capacity under BPA for each
-// wear-leveling substrate, with the spare budget fixed at 10%. The
-// paper's x axis is {0, 20, 60, 80, 90, 100}.
-func Fig7(s Setup, swrPercents []int, wls []string) []Fig7Row {
-	p := s.Profile()
-	var out []Fig7Row
-	for _, wl := range wls {
-		for _, pct := range swrPercents {
-			if pct < 0 || pct > 100 {
-				panic(fmt.Sprintf("experiments: Fig7 SWR percent %d out of [0, 100]", pct))
-			}
-			opts := spare.DefaultMaxWEOptions()
-			opts.SWRFraction = float64(pct) / 100
-			sch := spare.NewMaxWE(p, opts)
-			out = append(out, Fig7Row{
-				WL:         wl,
-				SWRPercent: pct,
-				Normalized: s.runBPA(p, sch, wl),
-			})
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Figure 8 — spare-scheme comparison under BPA per wear-leveling scheme
 
@@ -320,28 +259,6 @@ func newScheme(name string, p *endurance.Profile, seed uint64) spare.Scheme {
 	default:
 		panic(fmt.Sprintf("experiments: unknown spare scheme %q", name))
 	}
-}
-
-// Fig8 compares the three spare schemes under BPA across the four
-// wear-leveling substrates and returns the per-combination rows plus the
-// per-scheme geometric means (the paper's Gmean group).
-func Fig8(s Setup) ([]Fig8Row, map[string]float64) {
-	p := s.Profile()
-	var rows []Fig8Row
-	perScheme := map[string][]float64{}
-	for _, wl := range WLNames() {
-		for _, scheme := range SchemeNames() {
-			sch := newScheme(scheme, p, s.Seed)
-			nl := s.runBPA(p, sch, wl)
-			rows = append(rows, Fig8Row{WL: wl, Scheme: scheme, Normalized: nl})
-			perScheme[scheme] = append(perScheme[scheme], nl)
-		}
-	}
-	gmeans := map[string]float64{}
-	for scheme, vals := range perScheme {
-		gmeans[scheme] = stats.GeoMean(vals)
-	}
-	return rows, gmeans
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"maxwe/internal/runner"
 	"maxwe/internal/spare"
 	"maxwe/internal/xrand"
 )
@@ -111,7 +113,10 @@ func TestFig6PanicsOnBadPercent(t *testing.T) {
 
 func TestFig7WLOrderingAndTrend(t *testing.T) {
 	s := midSetup()
-	rows := Fig7(s, []int{0, 90}, WLNames())
+	rows, rep, err := Fig7Sweep(context.Background(), runner.Config{Parallelism: 1}, s, []int{0, 90}, WLNames())
+	if err != nil || len(rep.Failed) != 0 {
+		t.Fatalf("sweep: %v %+v", err, rep.Failed)
+	}
 	byKey := map[string]map[int]float64{}
 	for _, r := range rows {
 		if byKey[r.WL] == nil {
@@ -152,11 +157,14 @@ func TestFig7PanicsOnBadPercent(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Fig7(QuickSetup(), []int{101}, []string{"tlsr"})
+	Fig7Cells(QuickSetup(), []int{101}, []string{"tlsr"})
 }
 
 func TestFig8GmeanOrdering(t *testing.T) {
-	rows, gmeans := Fig8(midSetup())
+	rows, gmeans, rep, err := Fig8Sweep(context.Background(), runner.Config{Parallelism: 1}, midSetup())
+	if err != nil || len(rep.Failed) != 0 {
+		t.Fatalf("sweep: %v %+v", err, rep.Failed)
+	}
 	if len(rows) != len(WLNames())*len(SchemeNames()) {
 		t.Fatalf("got %d rows", len(rows))
 	}

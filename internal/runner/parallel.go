@@ -1,4 +1,5 @@
-// parallel.go is the worker-pool execution path of the sweep supervisor.
+// parallel.go is the worker pool every sweep runs on, at every
+// Parallelism.
 //
 // Determinism argument: every cell is an independent simulation that
 // derives all of its state (profile, scheme, attack, randomness) from its
@@ -8,19 +9,23 @@
 // StatusCached events emitted, and checkpoint snapshots written by a
 // single collector that walks the cells strictly in sweep order, waiting
 // for each cell's outcome before moving on. The sequence of checkpoint
-// file states a parallel sweep writes is therefore exactly the sequence
-// the sequential loop writes (restricted, under cancellation, to the
-// cells that completed), and Report.Results/Failed are bit-identical at
-// every parallelism level.
+// file states is therefore the same at every worker count (restricted,
+// under cancellation, to the cells that completed), and
+// Report.Results/Failed are bit-identical at every parallelism level.
 //
-// Cancellation differs from the sequential loop in one documented way:
-// the sequential loop stops at the first cell it observes canceled, while
-// the pool lets every in-flight cell finish (or observe the cancellation
-// itself) and commits all successful outcomes, so an interrupted parallel
-// sweep may checkpoint cells the sequential loop would not have reached.
-// Either way the checkpoint holds only bit-exact completed cells, so a
-// resumed sweep — sequential or parallel — converges to the identical
-// final report.
+// The pool runs at most Parallelism cells ahead of the collector: cell i
+// is handed to a worker only once cell i-Parallelism is committed. With
+// one worker, cell i therefore starts after cell i-1's Done event and
+// checkpoint, exactly where a sequential loop would start it.
+//
+// Cancellation follows one rule: a worker never starts a cell once the
+// run's context is done, and every cell already in flight finishes (or
+// observes the cancellation itself) with its successful outcome
+// committed. With one worker that is exactly the cells before the
+// cancellation point plus the one in flight; a cancellation from a
+// Progress callback stops the sweep before the next cell starts. The
+// checkpoint holds only bit-exact completed cells, so a resumed sweep at
+// any worker count converges to the identical final report.
 package runner
 
 import (
@@ -37,11 +42,10 @@ type outcome[T any] struct {
 	memoHit bool
 }
 
-// runParallel executes the non-checkpointed cells on a bounded worker
-// pool and commits outcomes in sweep order. It mutates rep in place and
-// returns the first checkpoint I/O or decode error, like the sequential
-// loop.
-func runParallel[T any](ctx context.Context, cfg Config, cells []Cell[T], ckpt checkpoint, rep *Report[T]) error {
+// runPool executes the non-checkpointed cells on a bounded worker pool
+// and commits outcomes in sweep order. It mutates rep in place and
+// returns the first checkpoint I/O or decode error.
+func runPool[T any](ctx context.Context, cfg Config, cells []Cell[T], ckpt checkpoint, rep *Report[T]) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	// On every exit: stop the feeder and workers, then wait for in-flight
@@ -60,28 +64,49 @@ func runParallel[T any](ctx context.Context, cfg Config, cells []Cell[T], ckpt c
 		cfg.Progress(ev)
 	}
 
-	// One buffered outcome slot per pending (non-checkpointed) cell: a
-	// worker never blocks handing over a result, and the collector can
-	// still drain outcomes that landed after cancellation.
+	// Checkpointed cells are decoded before any cell starts: an entry
+	// that does not decode as T makes the whole file corrupt. Every other
+	// cell is pending and gets one buffered outcome slot, so a worker
+	// never blocks handing over a result and the collector can still
+	// drain outcomes that landed after cancellation.
+	resumed := make(map[int]T)
 	pending := make([]int, 0, len(cells))
 	outcomes := make([]chan outcome[T], len(cells))
 	for i, c := range cells {
-		if _, ok := ckpt.Completed[c.Key]; !ok {
+		raw, ok := ckpt.Completed[c.Key]
+		if !ok {
 			pending = append(pending, i)
 			outcomes[i] = make(chan outcome[T], 1)
+			continue
 		}
+		var v T
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return fmt.Errorf("runner: checkpoint %s entry %q is corrupt (%v): %w",
+				cfg.CheckpointPath, c.Key, err, ErrCorruptCheckpoint)
+		}
+		resumed[i] = v
 	}
 	workers := cfg.parallelism()
 	if workers > len(pending) {
 		workers = len(pending)
 	}
 
+	// window holds one token per started, uncommitted cell: the feeder
+	// takes one before each hand-off and the collector returns it once
+	// the cell is committed, so workers never run more than `workers`
+	// cells ahead of the commit point.
+	window := make(chan struct{}, workers)
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() { //lint:allow nondeterminism "worker goroutine of the sanctioned pool; outcome commitment stays in sweep order"
 			defer wg.Done()
 			for i := range work { //lint:allow ctxprop "bounded: the feeder closes work when runCtx is canceled, ending this range"
+				if runCtx.Err() != nil {
+					// The feeder's hand-off raced the cancellation: leave
+					// the cell unstarted, so no cell begins after the cut.
+					continue
+				}
 				v, memoHit, err := runCell(runCtx, cfg, cells[i], i, len(cells), emit)
 				outcomes[i] <- outcome[T]{v: v, err: err, memoHit: memoHit} //lint:allow ctxprop "never blocks: outcomes[i] has capacity 1 and exactly one send"
 			}
@@ -92,6 +117,11 @@ func runParallel[T any](ctx context.Context, cfg Config, cells []Cell[T], ckpt c
 		defer wg.Done()
 		defer close(work)
 		for _, i := range pending {
+			select {
+			case window <- struct{}{}:
+			case <-runCtx.Done():
+				return
+			}
 			select {
 			case work <- i:
 			case <-runCtx.Done():
@@ -108,11 +138,7 @@ func runParallel[T any](ctx context.Context, cfg Config, cells []Cell[T], ckpt c
 	}()
 
 	for i, c := range cells {
-		if raw, ok := ckpt.Completed[c.Key]; ok {
-			var v T
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return fmt.Errorf("runner: checkpoint entry %q: %w", c.Key, err)
-			}
+		if v, ok := resumed[i]; ok {
 			rep.Results[c.Key] = v
 			rep.Resumed++
 			emit(Event{Key: c.Key, Index: i, Total: len(cells), Status: StatusCached})
@@ -131,23 +157,24 @@ func runParallel[T any](ctx context.Context, cfg Config, cells []Cell[T], ckpt c
 				continue
 			}
 		}
-		if out.err != nil {
-			if ctx.Err() != nil {
-				// The failure reflects cancellation, not the cell: leave
-				// it incomplete so a resumed sweep recomputes it.
-				rep.Interrupted = true
-				continue
+		switch {
+		case out.err == nil:
+			rep.Results[c.Key] = out.v
+			emit(Event{Key: c.Key, Index: i, Total: len(cells), Status: doneStatus(out.memoHit)})
+			if err := saveCheckpoint(cfg, ckpt, c.Key, out.v); err != nil {
+				return err
 			}
+		case ctx.Err() != nil:
+			// The failure reflects cancellation, not the cell: leave it
+			// incomplete so a resumed sweep recomputes it.
+			rep.Interrupted = true
+		default:
 			rep.Failed[c.Key] = out.err.Error()
 			emit(Event{Key: c.Key, Index: i, Total: len(cells),
 				Status: StatusFailed, Attempt: cfg.Retries + 1, Err: out.err.Error()})
-			continue
 		}
-		rep.Results[c.Key] = out.v
-		emit(Event{Key: c.Key, Index: i, Total: len(cells), Status: doneStatus(out.memoHit)})
-		if err := saveCheckpoint(cfg, ckpt, c.Key, out.v); err != nil {
-			return err
-		}
+		// Cell i is committed: the feeder may start one more.
+		<-window //lint:allow ctxprop "never blocks: cell i was handed out, so its token is in window"
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 // Package runner is the resilient sweep supervisor for the experiment
 // harness. A sweep is a list of independent cells (one simulation
-// configuration each); the runner executes them sequentially under a
-// shared context, survives individual cell failures, and checkpoints
-// completed cells to a JSON file so an interrupted sweep resumes where it
-// left off instead of recomputing hours of simulation.
+// configuration each); the runner executes them on a bounded worker pool
+// under a shared context, survives individual cell failures, and
+// checkpoints completed cells to a JSON file so an interrupted sweep
+// resumes where it left off instead of recomputing hours of simulation.
 //
 // Resilience mechanisms, per cell:
 //
@@ -19,22 +19,21 @@
 //     fingerprint; a rerun with the same fingerprint loads completed
 //     cells instead of recomputing them.
 //
-// Cancellation is cooperative: when the parent context is canceled the
-// runner stops between cells (and in-flight cells observe the same
-// context), saves the checkpoint, and returns the partial report with
-// Interrupted set — it does not return an error, so callers can always
-// print partial results.
+// Cancellation is cooperative: once the parent context is canceled no
+// further cell starts, in-flight cells observe the same context, the
+// cells that completed are checkpointed, and Run returns the partial
+// report with Interrupted set — it does not return an error, so callers
+// can always print partial results.
 //
-// Cells are scheduled across a bounded worker pool (Config.Parallelism;
-// the default is one worker per available CPU). Because every cell is an
-// independent, self-seeded simulation, parallel execution changes nothing
-// observable about the sweep's outcome: results, failure reports and
-// checkpoint contents are bit-identical at every parallelism level —
-// completed cells are committed (recorded and checkpointed) strictly in
-// cell order by a single collector, and only the interleaving of
-// StatusStart/StatusRetry progress events and the exact set of cells
-// completed at an interruption differ. Parallelism 1 runs the plain
-// sequential loop.
+// Every sweep runs through one path: a bounded worker pool
+// (Config.Parallelism workers; the default is one per available CPU, and
+// 1 means one worker) whose single collector commits outcomes — records
+// results, emits Done/Failed/Cached events, writes checkpoints — strictly
+// in cell order. Because every cell is an independent, self-seeded
+// simulation, results, failure reports and checkpoint contents are
+// bit-identical at every parallelism level; only the interleaving of
+// StatusStart/StatusRetry progress events and, under cancellation, the
+// set of cells already in flight differ.
 package runner
 
 import (
@@ -91,9 +90,9 @@ type Config struct {
 	// needs no locking of its own.
 	Progress func(Event)
 	// Parallelism bounds how many cells run concurrently. 0 selects
-	// runtime.GOMAXPROCS(0) (one worker per available CPU); 1 runs the
-	// exact sequential path. Results, Failed and checkpoint contents are
-	// bit-identical across parallelism levels; see the package comment.
+	// runtime.GOMAXPROCS(0) (one worker per available CPU); 1 means one
+	// worker. Results, Failed and checkpoint contents are bit-identical
+	// across parallelism levels; see the package comment.
 	Parallelism int
 	// FS is the filesystem checkpoints are read and written through. Nil
 	// selects the real filesystem (atomicio.OS); the chaos harness passes
@@ -203,8 +202,9 @@ type checkpoint struct {
 }
 
 // ErrCorruptCheckpoint marks a checkpoint file whose contents are not a
-// complete JSON checkpoint document — typically a file truncated by a
-// crash or written by something else entirely. Callers that own the file
+// complete JSON checkpoint document, or hold an entry for one of the
+// sweep's cells that does not decode as its result type — typically a
+// file truncated by a crash or written by something else entirely. Callers that own the file
 // (like the nvmd service) can detect it with errors.Is, quarantine the
 // file, and restart the sweep from scratch instead of failing forever.
 var ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
@@ -252,47 +252,8 @@ func Run[T any](ctx context.Context, cfg Config, cells []Cell[T]) (Report[T], er
 		return rep, err
 	}
 
-	if cfg.parallelism() > 1 {
-		err = runParallel(ctx, cfg, cells, ckpt, &rep)
-		return rep, err
-	}
-
-	for i, c := range cells {
-		if raw, ok := ckpt.Completed[c.Key]; ok {
-			var v T
-			if err := json.Unmarshal(raw, &v); err != nil {
-				return rep, fmt.Errorf("runner: checkpoint entry %q: %w", c.Key, err)
-			}
-			rep.Results[c.Key] = v
-			rep.Resumed++
-			cfg.emit(Event{Key: c.Key, Index: i, Total: len(cells), Status: StatusCached})
-			continue
-		}
-		if ctx.Err() != nil {
-			rep.Interrupted = true
-			break
-		}
-
-		v, memoHit, cellErr := runCell(ctx, cfg, c, i, len(cells), cfg.emit)
-		if cellErr != nil {
-			if ctx.Err() != nil {
-				// The failure reflects cancellation, not the cell: leave
-				// it incomplete so a resumed sweep recomputes it.
-				rep.Interrupted = true
-				break
-			}
-			rep.Failed[c.Key] = cellErr.Error()
-			cfg.emit(Event{Key: c.Key, Index: i, Total: len(cells),
-				Status: StatusFailed, Attempt: cfg.Retries + 1, Err: cellErr.Error()})
-			continue
-		}
-		rep.Results[c.Key] = v
-		cfg.emit(Event{Key: c.Key, Index: i, Total: len(cells), Status: doneStatus(memoHit)})
-		if err := saveCheckpoint(cfg, ckpt, c.Key, v); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	err = runPool(ctx, cfg, cells, ckpt, &rep)
+	return rep, err
 }
 
 // doneStatus picks the completion event for a successful cell: memo hits
@@ -302,12 +263,6 @@ func doneStatus(memoHit bool) Status {
 		return StatusMemo
 	}
 	return StatusDone
-}
-
-func (c Config) emit(ev Event) {
-	if c.Progress != nil {
-		c.Progress(ev)
-	}
 }
 
 // runCell executes one cell through the memo cache when one is

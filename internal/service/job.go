@@ -189,56 +189,38 @@ func (j *job) onRunnerEvent(m *Metrics) func(runner.Event) {
 	}
 }
 
-// baseResult starts the final document for the job's kind. Everything
-// added to it derives from cell values alone, so resumed and
-// uninterrupted runs marshal byte-identically.
-func baseResult(j *job, failed map[string]string) JobResult {
-	res := JobResult{ID: j.id, Kind: j.spec.Kind}
+// newResult starts the final document for the job's kind from the
+// per-cell failures and the rendered table. Everything in it derives from
+// cell values alone, so resumed and uninterrupted runs marshal
+// byte-identically.
+func (j *job) newResult(failed map[string]string, t *report.Table) JobResult {
+	res := JobResult{ID: j.id, Kind: j.spec.Kind, Table: t.String(), CSV: t.CSV()}
 	if len(failed) > 0 {
 		res.Failed = failed
 	}
 	return res
 }
 
-// resultFig7 renders a fig7 job's rows.
-func resultFig7(j *job, rows []experiments.Fig7Row, rep runner.Report[experiments.Fig7Row]) JobResult {
-	res := baseResult(j, rep.Failed)
+// resultFig7 assembles a fig7 job's rows in the paper's order.
+func (j *job) resultFig7(rep runner.Report[experiments.Fig7Row]) JobResult {
+	rows := experiments.Fig7FromResults(rep.Results, j.spec.SWRPercents, j.spec.WLs)
+	res := j.newResult(rep.Failed, experiments.Fig7Table(rows))
 	res.Fig7 = rows
-	t := report.NewTable("Figure 7 — normalized lifetime under BPA vs SWR percentage",
-		"wear leveling", "swr %", "normalized lifetime")
-	for _, r := range rows {
-		t.AddRow(r.WL, r.SWRPercent, r.Normalized)
-	}
-	res.Table = t.String()
-	res.CSV = t.CSV()
 	return res
 }
 
-// resultFig8 renders a fig8 job's rows and geometric means.
-func resultFig8(j *job, rows []experiments.Fig8Row, gmeans map[string]float64, rep runner.Report[experiments.Fig8Row]) JobResult {
-	res := baseResult(j, rep.Failed)
+// resultFig8 assembles a fig8 job's rows and geometric means.
+func (j *job) resultFig8(rep runner.Report[experiments.Fig8Row]) JobResult {
+	rows, gmeans := experiments.Fig8FromResults(rep.Results)
+	res := j.newResult(rep.Failed, experiments.Fig8Table(rows, gmeans))
 	res.Fig8 = rows
 	res.Gmeans = gmeans
-	t := report.NewTable("Figure 8 — spare-scheme comparison under BPA",
-		"wear leveling", "scheme", "normalized lifetime")
-	for _, r := range rows {
-		t.AddRow(r.WL, r.Scheme, r.Normalized)
-	}
-	for _, scheme := range experiments.SchemeNames() {
-		if g, ok := gmeans[scheme]; ok {
-			t.AddRow("gmean", scheme, g)
-		}
-	}
-	res.Table = t.String()
-	res.CSV = t.CSV()
 	return res
 }
 
 // resultCells renders a cells job's per-cell simulation results in key
 // order.
-func resultCells(j *job, rep runner.Report[maxwe.Result]) JobResult {
-	res := baseResult(j, rep.Failed)
-	res.Cells = rep.Results
+func (j *job) resultCells(rep runner.Report[maxwe.Result]) JobResult {
 	t := report.NewTable("Custom cells — lifetime per configuration",
 		"cell", "normalized lifetime", "user writes", "device writes", "worn lines", "spares used")
 	keys := make([]string, 0, len(rep.Results))
@@ -250,8 +232,8 @@ func resultCells(j *job, rep runner.Report[maxwe.Result]) JobResult {
 		r := rep.Results[k]
 		t.AddRow(k, r.NormalizedLifetime, r.UserWrites, r.DeviceWrites, r.WornLines, r.SparesUsed)
 	}
-	res.Table = t.String()
-	res.CSV = t.CSV()
+	res := j.newResult(rep.Failed, t)
+	res.Cells = rep.Results
 	return res
 }
 

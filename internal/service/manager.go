@@ -682,67 +682,51 @@ func (m *Manager) sweep(ctx context.Context, j *job) (JobResult, bool, error) {
 		FS:             m.fs,
 		Cache:          m.cache,
 	}
-	// Each kind expands its cells, optionally wraps them for cluster
-	// dispatch (maybeFederate — a no-op for local jobs), and runs them
-	// through the one runner path. Assembly from rep.Results is shared
-	// with checkpoint resume, so federated, resumed and plain runs all
-	// produce the same bytes.
 	switch j.spec.Kind {
 	case KindFig7:
 		setup, err := j.spec.Setup.setup()
 		if err != nil {
 			return JobResult{}, false, err
 		}
-		cells, err := maybeFederate(m.cfg.Dispatcher, j, experiments.Fig7Cells(setup, j.spec.SWRPercents, j.spec.WLs))
-		if err != nil {
-			return JobResult{}, false, err
-		}
-		rep, err := runner.Run(ctx, rcfg, cells)
-		if err != nil {
-			return JobResult{}, false, err
-		}
-		if rep.Interrupted {
-			return JobResult{}, true, nil
-		}
-		rows := experiments.Fig7FromResults(rep.Results, j.spec.SWRPercents, j.spec.WLs)
-		return resultFig7(j, rows, rep), false, nil
+		return runSweep(ctx, m, j, rcfg, experiments.Fig7Cells(setup, j.spec.SWRPercents, j.spec.WLs), j.resultFig7)
 	case KindFig8:
 		setup, err := j.spec.Setup.setup()
 		if err != nil {
 			return JobResult{}, false, err
 		}
-		cells, err := maybeFederate(m.cfg.Dispatcher, j, experiments.Fig8Cells(setup))
-		if err != nil {
-			return JobResult{}, false, err
-		}
-		rep, err := runner.Run(ctx, rcfg, cells)
-		if err != nil {
-			return JobResult{}, false, err
-		}
-		if rep.Interrupted {
-			return JobResult{}, true, nil
-		}
-		rows, gmeans := experiments.Fig8FromResults(rep.Results)
-		return resultFig8(j, rows, gmeans, rep), false, nil
+		return runSweep(ctx, m, j, rcfg, experiments.Fig8Cells(setup), j.resultFig8)
 	case KindCells:
-		cells, err := maybeFederate(m.cfg.Dispatcher, j, sweepCells(j.spec.Cells))
-		if err != nil {
-			return JobResult{}, false, err
-		}
-		rep, err := runner.Run(ctx, rcfg, cells)
-		if err != nil {
-			return JobResult{}, false, err
-		}
-		if rep.Interrupted {
-			return JobResult{}, true, nil
-		}
-		for _, r := range rep.Results {
-			m.metrics.addFaults(r.Faults)
-		}
-		return resultCells(j, rep), false, nil
+		return runSweep(ctx, m, j, rcfg, sweepCells(j.spec.Cells),
+			func(rep runner.Report[maxwe.Result]) JobResult {
+				for _, r := range rep.Results {
+					m.metrics.addFaults(r.Faults)
+				}
+				return j.resultCells(rep)
+			})
 	}
 	// normalize rejected every other kind at submission.
 	return JobResult{}, false, fmt.Errorf("service: job %s has unknown kind %q", j.id, j.spec.Kind)
+}
+
+// runSweep is the one runner path of every job kind: it optionally wraps
+// the cells for cluster dispatch (maybeFederate — a no-op for local
+// jobs), runs them, and assembles the result from rep.Results unless the
+// sweep was interrupted. Assembly is shared with checkpoint resume, so
+// federated, resumed and plain runs all produce the same bytes.
+func runSweep[T any](ctx context.Context, m *Manager, j *job, rcfg runner.Config, cells []runner.Cell[T],
+	assemble func(runner.Report[T]) JobResult) (JobResult, bool, error) {
+	cells, err := maybeFederate(m.cfg.Dispatcher, j, cells)
+	if err != nil {
+		return JobResult{}, false, err
+	}
+	rep, err := runner.Run(ctx, rcfg, cells)
+	if err != nil {
+		return JobResult{}, false, err
+	}
+	if rep.Interrupted {
+		return JobResult{}, true, nil
+	}
+	return assemble(rep), false, nil
 }
 
 // sweepCells expands a cells job into runner cells: each one builds its

@@ -16,6 +16,7 @@ import (
 
 	"maxwe"
 	"maxwe/internal/experiments"
+	"maxwe/internal/wearlevel"
 )
 
 // Job kinds accepted by the service.
@@ -158,8 +159,15 @@ func (s JobSpec) normalize() (JobSpec, error) {
 		if len(s.WLs) == 0 {
 			s.WLs = experiments.WLNames()
 		}
+		known := map[string]bool{}
+		for _, wl := range wearlevel.Names() {
+			known[wl] = true
+		}
 		seen := map[string]bool{}
 		for _, wl := range s.WLs {
+			if !known[wl] {
+				return s, fmt.Errorf("service: unknown wear leveler %q", wl)
+			}
 			if seen[wl] {
 				return s, fmt.Errorf("service: duplicate wear leveler %q", wl)
 			}

@@ -27,6 +27,7 @@ func TestNormalizeDefaultsAndValidation(t *testing.T) {
 		{"unknown kind", JobSpec{Kind: "fig9"}, "unknown job kind"},
 		{"percent range", JobSpec{Kind: KindFig7, SWRPercents: []int{101}}, "out of [0, 100]"},
 		{"dup wl", JobSpec{Kind: KindFig7, WLs: []string{"tlsr", "tlsr"}}, "duplicate wear leveler"},
+		{"unknown wl", JobSpec{Kind: KindFig7, WLs: []string{"nope"}}, "unknown wear leveler"},
 		{"no cells", JobSpec{Kind: KindCells}, "at least one cell"},
 		{"empty key", JobSpec{Kind: KindCells, Cells: []CellSpec{{}}}, "empty key"},
 		{"dup key", JobSpec{Kind: KindCells, Cells: []CellSpec{{Key: "a"}, {Key: "a"}}}, "duplicate cell key"},

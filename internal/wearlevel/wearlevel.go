@@ -61,6 +61,84 @@ type Leveler interface {
 }
 
 // ---------------------------------------------------------------------------
+// Construction by name
+
+// buildArgs carries New's arguments to a table entry.
+type buildArgs struct {
+	slots   int
+	metrics func() []float64
+	psi     int
+	src     *xrand.Source
+}
+
+// builders is the one table of wear-leveler names; New and Names read it.
+var builders = []struct {
+	name  string
+	build func(a buildArgs) (Leveler, error)
+}{
+	{"identity", func(a buildArgs) (Leveler, error) { return NewIdentity(a.slots), nil }},
+	{"start-gap", func(a buildArgs) (Leveler, error) { return NewStartGap(a.slots, a.psi), nil }},
+	{"partitioned-start-gap", func(a buildArgs) (Leveler, error) {
+		const partitions = 8
+		if a.slots%partitions != 0 || a.slots/partitions < 2 {
+			return nil, fmt.Errorf("wearlevel: partitioned-start-gap needs the user space divisible into %d partitions of >= 2 slots, got %d", partitions, a.slots)
+		}
+		return NewPartitioned(partitions, a.slots/partitions, a.src,
+			func(_, partSlots int) Leveler { return NewStartGap(partSlots, a.psi) }), nil
+	}},
+	{"stress-aware", func(a buildArgs) (Leveler, error) { return NewStressAware(a.slots, a.psi), nil }},
+	{"twl", func(a buildArgs) (Leveler, error) {
+		if a.slots%2 != 0 {
+			return nil, fmt.Errorf("wearlevel: twl needs an even user space, got %d slots", a.slots)
+		}
+		return NewTWL(a.slots, a.metrics(), a.src), nil
+	}},
+	{"tlsr", func(a buildArgs) (Leveler, error) { return NewTLSR(a.slots, a.psi, a.src), nil }},
+	{"pcm-s", func(a buildArgs) (Leveler, error) { return NewPCMS(a.slots, a.psi, a.src), nil }},
+	{"bwl", func(a buildArgs) (Leveler, error) { return NewBWL(a.slots, a.metrics(), a.psi, a.src), nil }},
+	{"wawl", func(a buildArgs) (Leveler, error) { return NewWAWL(a.slots, a.metrics(), a.psi, a.src), nil }},
+	{"security-refresh", func(a buildArgs) (Leveler, error) {
+		if a.slots < 2 || a.slots&(a.slots-1) != 0 {
+			return nil, fmt.Errorf("wearlevel: security-refresh needs a power-of-two user space, got %d slots", a.slots)
+		}
+		return NewSecurityRefresh(a.slots, a.psi, a.src), nil
+	}},
+	{"tlsr-exact", func(a buildArgs) (Leveler, error) {
+		if a.slots < 4 || a.slots&(a.slots-1) != 0 {
+			return nil, fmt.Errorf("wearlevel: tlsr-exact needs a power-of-two user space >= 4, got %d slots", a.slots)
+		}
+		subSize := 64
+		for subSize > a.slots/2 {
+			subSize /= 2
+		}
+		return NewTwoLevelSecurityRefresh(a.slots/subSize, subSize, a.psi*8, a.psi, a.src), nil
+	}},
+}
+
+// New constructs the named wear-leveling substrate over slots user slots
+// with remap period psi. metrics yields the per-slot endurance metric and
+// is called only by the endurance-aware substrates (twl, bwl, wawl); the
+// randomized substrates draw from src. An unknown name, or a slot count
+// the named substrate cannot cover, is an error.
+func New(name string, slots int, metrics func() []float64, psi int, src *xrand.Source) (Leveler, error) {
+	for _, b := range builders {
+		if b.name == name {
+			return b.build(buildArgs{slots: slots, metrics: metrics, psi: psi, src: src})
+		}
+	}
+	return nil, fmt.Errorf("wearlevel: unknown wear-leveling scheme %q", name)
+}
+
+// Names lists every name New accepts.
+func Names() []string {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		names[i] = b.name
+	}
+	return names
+}
+
+// ---------------------------------------------------------------------------
 // Identity
 
 // Identity is the no-wear-leveling baseline.

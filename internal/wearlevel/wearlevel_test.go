@@ -489,3 +489,42 @@ func TestHotStateRelocateMatchesOnWrite(t *testing.T) {
 		}
 	}
 }
+
+func TestNewConstructsEveryName(t *testing.T) {
+	const slots = 64 // a power of two divisible into 8 partitions of >= 2
+	metrics := func() []float64 {
+		ms := make([]float64, slots)
+		for u := range ms {
+			ms[u] = float64(1 + u%7)
+		}
+		return ms
+	}
+	names := Names()
+	if len(names) == 0 {
+		t.Fatal("no wear-leveler names")
+	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Fatalf("name %q listed twice", name)
+		}
+		seen[name] = true
+		l, err := New(name, slots, metrics, 8, xrand.New(1))
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if l.Name() != name {
+			t.Fatalf("New(%q) built %q", name, l.Name())
+		}
+		checkPermutation(t, l, slots)
+	}
+	if _, err := New("nope", slots, metrics, 8, xrand.New(1)); err == nil {
+		t.Fatal("unknown name accepted")
+	}
+	// Slot counts a substrate cannot cover are errors, not panics.
+	for _, name := range []string{"twl", "security-refresh", "tlsr-exact", "partitioned-start-gap"} {
+		if _, err := New(name, 63, metrics, 8, xrand.New(1)); err == nil {
+			t.Fatalf("New(%q) accepted 63 slots", name)
+		}
+	}
+}

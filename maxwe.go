@@ -299,52 +299,11 @@ func buildLeveler(cfg Config, p *endurance.Profile, sch spare.Scheme) (wearlevel
 		}
 		return ms
 	}
-	switch cfg.WearLeveling {
-	case "identity":
-		return wearlevel.NewIdentity(slots), nil
-	case "start-gap":
-		return wearlevel.NewStartGap(slots, cfg.Psi), nil
-	case "tlsr":
-		return wearlevel.NewTLSR(slots, cfg.Psi, src), nil
-	case "pcm-s":
-		return wearlevel.NewPCMS(slots, cfg.Psi, src), nil
-	case "bwl":
-		return wearlevel.NewBWL(slots, metrics(), cfg.Psi, src), nil
-	case "wawl":
-		return wearlevel.NewWAWL(slots, metrics(), cfg.Psi, src), nil
-	case "twl":
-		if slots%2 != 0 {
-			return nil, fmt.Errorf("maxwe: twl needs an even user space, got %d slots", slots)
-		}
-		return wearlevel.NewTWL(slots, metrics(), src), nil
-	case "stress-aware":
-		return wearlevel.NewStressAware(slots, cfg.Psi), nil
-	case "security-refresh":
-		if slots < 2 || slots&(slots-1) != 0 {
-			return nil, fmt.Errorf("maxwe: security-refresh needs a power-of-two user space, got %d slots (use scheme \"none\" or adjust geometry)", slots)
-		}
-		return wearlevel.NewSecurityRefresh(slots, cfg.Psi, src), nil
-	case "tlsr-exact":
-		if slots < 4 || slots&(slots-1) != 0 {
-			return nil, fmt.Errorf("maxwe: tlsr-exact needs a power-of-two user space >= 4, got %d slots", slots)
-		}
-		subSize := 64
-		for subSize > slots/2 {
-			subSize /= 2
-		}
-		return wearlevel.NewTwoLevelSecurityRefresh(slots/subSize, subSize, cfg.Psi*8, cfg.Psi, src), nil
-	case "partitioned-start-gap":
-		const partitions = 8
-		if slots%partitions != 0 || slots/partitions < 2 {
-			return nil, fmt.Errorf("maxwe: partitioned-start-gap needs the user space divisible into %d partitions of >= 2 slots, got %d", partitions, slots)
-		}
-		return wearlevel.NewPartitioned(partitions, slots/partitions, src,
-			func(_, partSlots int) wearlevel.Leveler {
-				return wearlevel.NewStartGap(partSlots, cfg.Psi)
-			}), nil
-	default:
-		return nil, fmt.Errorf("maxwe: unknown wear-leveling scheme %q", cfg.WearLeveling)
+	lev, err := wearlevel.New(cfg.WearLeveling, slots, metrics, cfg.Psi, src)
+	if err != nil {
+		return nil, fmt.Errorf("maxwe: %w", err)
 	}
+	return lev, nil
 }
 
 func buildAttack(cfg Config) (attack.Attack, error) {
