@@ -65,16 +65,19 @@ fuzz-smoke:
 # lifetime, the nvmd submit round trip, and the leveled engine's layers
 # (one WeightedChooser and Zipf draw, one relocation of each randomized
 # swap leveler, one BPA and one UAA epoch), two unleveled cells of the
-# batched direct loop and the two fault cells of the per-write route at
-# default scale, parsed to JSON (with
+# batched direct loop, two Max-WE BPA cells of the leveled loop and the
+# two fault cells of the per-write route at default scale, one device
+# write, one Max-WE access and one hybrid-table translation, parsed to
+# JSON (with
 # NumCPU/GOMAXPROCS metadata) by cmd/benchjson. A second run repeats the
 # runner sweep at GOMAXPROCS 2 and 4 (the -cpu suffixes become
 # benchjson's "procs" field) to record multi-core scaling; it appends to
 # the same log so one conversion sees both. Separate steps so a bench
 # failure stops make instead of vanishing into a pipe.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect|PerWriteRoute)' -benchmem \
-		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench.out
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect|BatchedLeveled|PerWriteRoute|DeviceWrite|MaxWEAccess|HybridTranslate)' -benchmem \
+		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ \
+		./internal/device/ ./internal/spare/ ./internal/mapping/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
@@ -83,7 +86,8 @@ bench:
 # still parses — the CI guard that `make bench` cannot rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem \
-		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ > bench-smoke.out
+		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ \
+		./internal/device/ ./internal/spare/ ./internal/mapping/ > bench-smoke.out
 	$(GO) run ./cmd/benchjson -o /dev/null < bench-smoke.out
 	@rm -f bench-smoke.out
 

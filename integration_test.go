@@ -1,6 +1,7 @@
 package maxwe_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,47 +29,72 @@ func runLifetime(t *testing.T, cfg maxwe.Config) maxwe.Result {
 	return sys.RunLifetime()
 }
 
-// Equation 5: the unprotected UAA lifetime equals 2EL/(EH+EL).
+// analyticQs and analyticSpares span the linear profiles (max/min
+// endurance ratio q) and spare fractions over which the simulated UAA
+// lifetimes must agree with the closed forms.
+var (
+	analyticQs     = []float64{10, 25, 50, 100}
+	analyticSpares = []float64{0.05, 0.10, 0.20}
+)
+
+// forAnalyticGrid runs check as one subtest per (q, spare fraction) of
+// the grid on the integration config with scheme set.
+func forAnalyticGrid(t *testing.T, scheme string, check func(t *testing.T, cfg maxwe.Config, sim float64)) {
+	for _, q := range analyticQs {
+		for _, p := range analyticSpares {
+			cfg := integrationConfig()
+			cfg.Scheme, cfg.VariationQ, cfg.SpareFraction = scheme, q, p
+			t.Run(fmt.Sprintf("q=%v/p=%v", q, p), func(t *testing.T) {
+				check(t, cfg, runLifetime(t, cfg).NormalizedLifetime)
+			})
+		}
+	}
+}
+
+// analyticOf returns the closed-form model of cfg's device.
+func analyticOf(t *testing.T, cfg maxwe.Config) maxwe.AnalyticParams {
+	t.Helper()
+	sys, err := maxwe.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.Analytic()
+}
+
+// Equation 5: the unprotected UAA lifetime equals 2EL/(EH+EL), for every
+// q. The "none" scheme keeps no spares, so the spare fraction does not
+// enter this run and only q is swept.
 func TestIntegrationEq5(t *testing.T) {
-	cfg := integrationConfig()
-	cfg.Scheme = "none"
-	cfg.SpareFraction = 0
-	res := runLifetime(t, cfg)
-	want := 2.0 / (1 + cfg.VariationQ)
-	if math.Abs(res.NormalizedLifetime-want) > 0.004 {
-		t.Fatalf("simulated %v vs Eq5 %v", res.NormalizedLifetime, want)
+	for _, q := range analyticQs {
+		cfg := integrationConfig()
+		cfg.Scheme, cfg.VariationQ, cfg.SpareFraction = "none", q, 0
+		res := runLifetime(t, cfg)
+		want := 2.0 / (1 + q)
+		if math.Abs(res.NormalizedLifetime-want) > 0.004 {
+			t.Fatalf("q=%v: simulated %v vs Eq5 %v", q, res.NormalizedLifetime, want)
+		}
 	}
 }
 
 // Equation 8: PS-worst under UAA is governed by the (S+1)-th weakest
 // line.
 func TestIntegrationEq8(t *testing.T) {
-	cfg := integrationConfig()
-	cfg.Scheme = "ps-worst"
-	res := runLifetime(t, cfg)
-	sys, err := maxwe.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sys.Analytic().NormalizedPSWorst()
-	if math.Abs(res.NormalizedLifetime-want) > 0.03 {
-		t.Fatalf("simulated PS-worst %v vs Eq8 %v", res.NormalizedLifetime, want)
-	}
+	forAnalyticGrid(t, "ps-worst", func(t *testing.T, cfg maxwe.Config, sim float64) {
+		want := analyticOf(t, cfg).NormalizedPSWorst()
+		if math.Abs(sim-want) > 0.03 {
+			t.Fatalf("simulated PS-worst %v vs Eq8 %v", sim, want)
+		}
+	})
 }
 
 // Equation 7: PCD under UAA matches the capacity-degradation area.
 func TestIntegrationEq7(t *testing.T) {
-	cfg := integrationConfig()
-	cfg.Scheme = "pcd"
-	res := runLifetime(t, cfg)
-	sys, err := maxwe.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sys.Analytic().NormalizedPCDPS()
-	if math.Abs(res.NormalizedLifetime-want) > 0.03 {
-		t.Fatalf("simulated PCD %v vs Eq7 %v", res.NormalizedLifetime, want)
-	}
+	forAnalyticGrid(t, "pcd", func(t *testing.T, cfg maxwe.Config, sim float64) {
+		want := analyticOf(t, cfg).NormalizedPCDPS()
+		if math.Abs(sim-want) > 0.03 {
+			t.Fatalf("simulated PCD %v vs Eq7 %v", sim, want)
+		}
+	})
 }
 
 // Equation 6 is a lower bound for the full Max-WE (which adds the dynamic

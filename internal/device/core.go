@@ -8,22 +8,27 @@ import "maxwe/internal/endurance"
 // method call per write; Device remains the bounds-checked, invariant-
 // preserving view for everyone else.
 //
+// Each line keeps its remaining budget, not its write count, so a hot
+// loop checks wear with one load, one store and one sign test on Left.
 // The invariants the sim loops rely on — and must preserve when mutating
 // the slices directly — are exactly Write's semantics:
 //
-//   - Writes[i] counts every physical write to line i, worn or not.
-//   - Total is the sum of all Writes[i] increments once a run's loop has
-//     returned. The batched sim loops do not store it per write: they
-//     count user writes in a local and the caller adds that count when
-//     the loop returns, while movement and replacement writes count
-//     through Write as they happen. Nothing reads Total mid-loop.
-//   - Worn[i] flips false→true exactly once, when a write lands while
-//     Writes[i] >= Endurance[i] (or via ForceWear); it never flips back
-//     except through Reset.
+//   - Left[i] is Endurance[i] minus every physical write to line i, worn
+//     or not; it goes negative on writes past wear-out. Writes(i) is
+//     their difference.
+//   - Total is the sum of all Writes(i) once a run's loop has returned.
+//     The batched sim loops do not store it per write: they count user
+//     writes in a local and the caller adds that count when the loop
+//     returns, while movement and replacement writes count through Write
+//     as they happen. Nothing reads Total mid-loop.
+//   - Worn[i] flips false→true exactly once, when a write leaves
+//     Left[i] <= 0 while the line is not yet worn (or via ForceWear); it
+//     never flips back except through Reset.
 //   - WornLines counts true entries in Worn.
 type Core struct {
-	// Writes is the per-line physical write counter.
-	Writes []int64
+	// Left is the per-line remaining write budget: Endurance minus the
+	// writes the line has absorbed.
+	Left []int64
 	// Endurance is the per-line write budget, materialized from the
 	// endurance profile at construction so the hot loop needs no
 	// profile indirection.
@@ -40,13 +45,14 @@ type Core struct {
 func newCore(p *endurance.Profile) Core {
 	n := p.Lines()
 	c := Core{
-		Writes:    make([]int64, n),
+		Left:      make([]int64, n),
 		Endurance: make([]int64, n),
 		Worn:      make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		c.Endurance[i] = p.LineEndurance(i)
 	}
+	copy(c.Left, c.Endurance)
 	return c
 }
 
@@ -54,15 +60,18 @@ func newCore(p *endurance.Profile) Core {
 // the wear-out transition. It is the canonical per-write semantics that
 // batched loops replicate inline; callers must pass an in-range line.
 func (c *Core) Write(line int) (wornNow bool) {
-	c.Writes[line]++
+	c.Left[line]--
 	c.Total++
-	if !c.Worn[line] && c.Writes[line] >= c.Endurance[line] {
+	if c.Left[line] <= 0 && !c.Worn[line] {
 		c.Worn[line] = true
 		c.WornLines++
 		return true
 	}
 	return false
 }
+
+// Writes returns the number of physical writes line has absorbed.
+func (c *Core) Writes(line int) int64 { return c.Endurance[line] - c.Left[line] }
 
 // ForceWear marks line worn without counting a write. It returns true
 // when this call performed the transition, false if already worn.
@@ -82,19 +91,13 @@ func (c *Core) Remaining(line int) int64 {
 	if c.Worn[line] {
 		return 0
 	}
-	r := c.Endurance[line] - c.Writes[line]
-	if r < 0 {
-		return 0
-	}
-	return r
+	return max(c.Left[line], 0)
 }
 
 // Reset clears all wear state in place.
 func (c *Core) Reset() {
-	for i := range c.Writes {
-		c.Writes[i] = 0
-		c.Worn[i] = false
-	}
+	copy(c.Left, c.Endurance)
+	clear(c.Worn)
 	c.WornLines = 0
 	c.Total = 0
 }

@@ -1,9 +1,9 @@
 // Package device models the physical NVM bank at line granularity: every
-// line carries a finite write budget drawn from an endurance profile, a
-// write counter, and a worn-out flag. The device is deliberately passive —
-// it knows nothing about wear leveling, sparing or attacks; it just counts
-// writes and reports wear-out transitions. All lifetime machinery composes
-// on top of it (internal/sim).
+// line carries a finite write budget drawn from an endurance profile, the
+// part of that budget still unspent, and a worn-out flag. The device is
+// deliberately passive — it knows nothing about wear leveling, sparing or
+// attacks; it just counts writes and reports wear-out transitions. All
+// lifetime machinery composes on top of it (internal/sim).
 //
 // The wear state itself lives in a struct-of-arrays Core (core.go) so hot
 // simulation loops can index the flat slices directly; Device is the
@@ -49,8 +49,8 @@ func (d *Device) LinesPerRegion() int { return d.profile.LinesPerRegion() }
 func (d *Device) RegionOf(line int) int { return d.profile.RegionOf(line) }
 
 func (d *Device) check(line int) {
-	if line < 0 || line >= len(d.core.Writes) {
-		panic(fmt.Sprintf("device: line %d out of range [0,%d)", line, len(d.core.Writes)))
+	if line < 0 || line >= len(d.core.Left) {
+		panic(fmt.Sprintf("device: line %d out of range [0,%d)", line, len(d.core.Left)))
 	}
 }
 
@@ -90,7 +90,7 @@ func (d *Device) Remaining(line int) int64 {
 // Writes returns the number of physical writes line has absorbed.
 func (d *Device) Writes(line int) int64 {
 	d.check(line)
-	return d.core.Writes[line]
+	return d.core.Writes(line)
 }
 
 // WornCount returns how many lines have worn out.
@@ -115,12 +115,8 @@ func (d *Device) IdealLifetime() float64 { return d.profile.Sum() }
 // Σ min(writes, endurance) / Σ endurance.
 func (d *Device) WearFraction() float64 {
 	used := 0.0
-	for i, w := range d.core.Writes {
-		e := d.core.Endurance[i]
-		if w > e {
-			w = e
-		}
-		used += float64(w)
+	for i, e := range d.core.Endurance {
+		used += float64(min(d.core.Writes(i), e))
 	}
 	return used / d.profile.Sum()
 }
@@ -140,12 +136,12 @@ func (d *Device) WearHistogram(buckets int) []int {
 		panic("device: WearHistogram needs positive buckets")
 	}
 	h := make([]int, buckets)
-	for i, w := range d.core.Writes {
-		if d.core.Worn[i] {
+	for i, worn := range d.core.Worn {
+		if worn {
 			h[buckets-1]++
 			continue
 		}
-		frac := float64(w) / float64(d.core.Endurance[i])
+		frac := float64(d.core.Writes(i)) / float64(d.core.Endurance[i])
 		if frac >= 1 {
 			h[buckets-1]++
 			continue

@@ -327,7 +327,7 @@ func TestResetAfterForceWear(t *testing.T) {
 func TestCoreViewConsistency(t *testing.T) {
 	d := New(endurance.Uniform(2, 2, 5))
 	c := d.Core()
-	if len(c.Writes) != d.Lines() || len(c.Endurance) != d.Lines() || len(c.Worn) != d.Lines() {
+	if len(c.Left) != d.Lines() || len(c.Endurance) != d.Lines() || len(c.Worn) != d.Lines() {
 		t.Fatal("core slice lengths disagree with device geometry")
 	}
 	for i := 0; i < d.Lines(); i++ {
@@ -337,7 +337,7 @@ func TestCoreViewConsistency(t *testing.T) {
 	}
 	// Device write visible through core.
 	d.Write(1)
-	if c.Writes[1] != 1 || c.Total != 1 {
+	if c.Writes(1) != 1 || c.Left[1] != 4 || c.Total != 1 {
 		t.Fatal("device write not visible through core")
 	}
 	// Core mutation visible through device, including the transition.

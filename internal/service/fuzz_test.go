@@ -9,8 +9,8 @@ import (
 // FuzzJobSpecNormalize feeds arbitrary JSON to the job-spec decoder and
 // normalize, the first code an untrusted POST /v1/jobs body reaches.
 // normalize must never panic, an accepted spec must be a fixed point
-// (normalizing it again changes nothing), and its fingerprint must stay
-// the same.
+// (normalizing it again changes nothing), its fingerprint must stay the
+// same, and no device it asks for may exceed maxDeviceLines.
 func FuzzJobSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"fig7"}`,
@@ -21,6 +21,8 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		`{"kind":"fig8","setup":{"variation_q":0.5}}`,
 		`{"kind":"cells","cells":[{"key":"a","config":{"Regions":8}}],"setup":{"psi":-1}}`,
 		`{"kind":"cells","cells":[{"key":"a"},{"key":"a"}]}`,
+		`{"kind":"fig8","setup":{"regions":1073741824,"lines_per_region":1048576}}`,
+		`{"kind":"cells","cells":[{"key":"a","config":{"Regions":4611686018427387904,"LinesPerRegion":4}}]}`,
 		`{"kind":"fig9","retries":-1}`,
 		`{}`,
 	} {
@@ -47,6 +49,21 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		}
 		if norm.cellCount() < 1 {
 			t.Fatalf("accepted spec %+v expands to no cells", norm)
+		}
+		tooBig := func(regions, linesPerRegion int) bool {
+			return regions > 0 && linesPerRegion > 0 &&
+				(regions > maxDeviceLines || linesPerRegion > maxDeviceLines || regions*linesPerRegion > maxDeviceLines)
+		}
+		if norm.Kind != KindCells {
+			su, _ := norm.Setup.setup()
+			if tooBig(su.Regions, su.LinesPerRegion) {
+				t.Fatalf("accepted setup %dx%d is above the %d-line limit", su.Regions, su.LinesPerRegion, maxDeviceLines)
+			}
+		}
+		for _, c := range norm.Cells {
+			if tooBig(c.Config.Regions, c.Config.LinesPerRegion) {
+				t.Fatalf("accepted cell %q of %dx%d lines is above the limit", c.Key, c.Config.Regions, c.Config.LinesPerRegion)
+			}
 		}
 	})
 }

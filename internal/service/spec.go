@@ -96,6 +96,23 @@ type CellSpec struct {
 	Config maxwe.Config `json:"config"`
 }
 
+// maxDeviceLines bounds the device a job may ask for, in lines
+// (Regions × LinesPerRegion), for fig7/fig8 setups and every cell's
+// config alike: 256 times the paper's default 512×32 scale. Every cell
+// materializes per-line state for the whole device inside the daemon, so
+// an unbounded geometry would let one spec exhaust its memory.
+const maxDeviceLines = 1 << 22
+
+// checkLines rejects a geometry whose line count exceeds maxDeviceLines,
+// dividing instead of multiplying so a huge product cannot overflow.
+// Non-positive dimensions pass here; they are errors of their own.
+func checkLines(regions, linesPerRegion int) error {
+	if regions > 0 && linesPerRegion > 0 && linesPerRegion > maxDeviceLines/regions {
+		return fmt.Errorf("geometry %dx%d exceeds the %d-line limit", regions, linesPerRegion, maxDeviceLines)
+	}
+	return nil
+}
+
 // setup resolves the spec's scale against the paper defaults.
 func (s *SetupSpec) setup() (experiments.Setup, error) {
 	out := experiments.DefaultSetup()
@@ -128,6 +145,9 @@ func (s *SetupSpec) setup() (experiments.Setup, error) {
 	if out.Regions <= 0 || out.LinesPerRegion <= 0 {
 		return out, fmt.Errorf("service: setup: geometry %dx%d must be positive",
 			out.Regions, out.LinesPerRegion)
+	}
+	if err := checkLines(out.Regions, out.LinesPerRegion); err != nil {
+		return out, fmt.Errorf("service: setup: %w", err)
 	}
 	if out.MeanEndurance <= 0 {
 		return out, fmt.Errorf("service: setup: mean endurance %v must be positive", out.MeanEndurance)
@@ -190,6 +210,9 @@ func (s JobSpec) normalize() (JobSpec, error) {
 				return s, fmt.Errorf("service: duplicate cell key %q", c.Key)
 			}
 			seen[c.Key] = true
+			if err := checkLines(c.Config.Regions, c.Config.LinesPerRegion); err != nil {
+				return s, fmt.Errorf("service: cell %q: %w", c.Key, err)
+			}
 		}
 	default:
 		return s, fmt.Errorf("service: unknown job kind %q (want %s, %s or %s)",

@@ -34,11 +34,31 @@ func TestNormalizeDefaultsAndValidation(t *testing.T) {
 		{"neg parallelism", JobSpec{Kind: KindFig8, Parallelism: -1}, "parallelism"},
 		{"bad setup", JobSpec{Kind: KindFig8, Setup: &SetupSpec{VariationQ: 0.5}}, "variation q"},
 		{"bad profile", JobSpec{Kind: KindFig8, Setup: &SetupSpec{Profile: "cauchy"}}, "profile"},
+		{"huge setup", JobSpec{Kind: KindFig8, Setup: &SetupSpec{Regions: 1 << 30, LinesPerRegion: 1 << 20}}, "line limit"},
+		{"overflowing setup", JobSpec{Kind: KindFig7, Setup: &SetupSpec{Regions: 1 << 62, LinesPerRegion: 1 << 62}}, "line limit"},
+		{"setup one past limit", JobSpec{Kind: KindFig8, Setup: &SetupSpec{Regions: maxDeviceLines/32 + 1, LinesPerRegion: 32}}, "line limit"},
+		{"huge cell", JobSpec{Kind: KindCells, Cells: []CellSpec{
+			{Key: "ok", Config: maxwe.DefaultConfig()},
+			{Key: "big", Config: maxwe.Config{Regions: 1 << 40, LinesPerRegion: 2}},
+		}}, `cell "big"`},
 	}
 	for _, tc := range bad {
 		if _, err := tc.spec.normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: normalize() err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A geometry of exactly maxDeviceLines lines is accepted, for setups and
+// cells alike; one more region is not (TestNormalizeDefaultsAndValidation).
+func TestNormalizeAcceptsGeometryAtLimit(t *testing.T) {
+	if _, err := (JobSpec{Kind: KindFig8, Setup: &SetupSpec{Regions: maxDeviceLines / 32, LinesPerRegion: 32}}).normalize(); err != nil {
+		t.Fatalf("setup at the line limit rejected: %v", err)
+	}
+	cfg := maxwe.DefaultConfig()
+	cfg.Regions, cfg.LinesPerRegion = 1, maxDeviceLines
+	if _, err := (JobSpec{Kind: KindCells, Cells: []CellSpec{{Key: "edge", Config: cfg}}}).normalize(); err != nil {
+		t.Fatalf("cell at the line limit rejected: %v", err)
 	}
 }
 

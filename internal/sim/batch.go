@@ -12,8 +12,11 @@
 // specialized inner loop: generalEpoch, checkedEpoch (unleveled, and
 // leveled under Identity), pcdEpoch, swapEpoch or levelerEpoch. Each
 // returns the user writes it served, and the driver adds them once per
-// epoch. Every write of the batched loops compares its line's count
-// against the line's endurance inline; no epoch skips that check.
+// epoch. Every write of the batched loops decrements its line's remaining
+// budget (device.Core.Left) and tests the sign of the result inline; no
+// epoch skips that check. A spent budget (<= 0) takes the rare path,
+// engine.wearOut, which also filters lines already worn, so the loops
+// read no slice of the core but Left.
 //
 // Exactness contract: every loop in this file must produce bit-identical
 // Results to the per-write reference engine (see crossval_test.go). The
@@ -100,34 +103,33 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 		e.failed = true
 		return 0, false
 	}
-	core := dev.Core()
-	// The core's slices never reallocate, so the loops index local copies
-	// of their headers instead of reloading them through core.
-	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
+	// The core's slices never reallocate, so the loops index a local copy
+	// of the budget slice's header instead of reloading it through the core.
+	left := dev.Core().Left
 	_, pcd := scheme.(*spare.PCDScheme)
 	slotLine := newSlotLine(scheme, scheme.UserLines())
 	batch := make([]int, epochSize)
 	return runEpochs(cfg, func(size int) (consumed int, ok bool) {
 		if pcd {
-			consumed, slotLine, ok = pcdEpoch(e, att, size, slotLine, writes, endurance, worn)
+			consumed, slotLine, ok = pcdEpoch(e, att, size, slotLine, left)
 			return consumed, ok
 		}
 		b := batch[:size]
 		att.NextBatch(len(slotLine), b)
-		return checkedEpoch(e, b, slotLine, writes, endurance, worn)
+		return checkedEpoch(e, b, slotLine, left)
 	})
 }
 
-// checkedEpoch writes the slots of b with the wear-out compare inline: the
+// checkedEpoch writes the slots of b with the budget check inline: the
 // unleveled loop of every scheme but PCD, and the leveled loop under
 // Identity, whose slots are the logical addresses. The capacity is fixed,
 // so wearOut's cache stays the same length.
-func checkedEpoch(e *engine, b []int, slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, ok bool) {
+func checkedEpoch(e *engine, b []int, slotLine []int32, left []int64) (consumed int, ok bool) {
 	for i, u := range b {
 		line := slotLine[u]
-		w := writes[line] + 1
-		writes[line] = w
-		if w >= endurance[line] && !worn[line] {
+		l := left[line] - 1
+		left[line] = l
+		if l <= 0 {
 			if _, ok := e.wearOut(slotLine, u); !ok {
 				return i + 1, false
 			}
@@ -139,13 +141,13 @@ func checkedEpoch(e *engine, b []int, slotLine []int32, writes, endurance []int6
 // pcdEpoch is checkedEpoch for PCD's shrinking user space: size writes,
 // each address drawn with Next at the capacity current when it is drawn.
 // It returns the slot→line cache cut to the capacity the epoch ends with.
-func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, _ []int32, ok bool) {
+func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, left []int64) (consumed int, _ []int32, ok bool) {
 	for i := 0; i < size; i++ {
 		u := att.Next(len(slotLine))
 		line := slotLine[u]
-		w := writes[line] + 1
-		writes[line] = w
-		if w >= endurance[line] && !worn[line] {
+		l := left[line] - 1
+		left[line] = l
+		if l <= 0 {
 			if slotLine, ok = e.wearOut(slotLine, u); !ok {
 				return i + 1, slotLine, false
 			}
@@ -188,7 +190,7 @@ func (m *cachedMover) WriteSlot(u int) bool {
 // leveler runs levelerEpoch through the interface calls.
 func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	core := dev.Core()
-	writes, endurance, worn := core.Writes, core.Endurance, core.Worn
+	left := core.Left
 	lev := cfg.Leveler
 	logicalLines := lev.LogicalLines()
 	slotLine := newSlotLine(e.scheme, e.scheme.UserLines())
@@ -205,11 +207,11 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 		att.NextBatch(logicalLines, b)
 		switch {
 		case swap != nil:
-			return swapEpoch(e, b, swap, perm, credit, mov, slotLine, writes, endurance, worn)
+			return swapEpoch(e, b, swap, perm, credit, mov, slotLine, left)
 		case ident:
-			return checkedEpoch(e, b, slotLine, writes, endurance, worn)
+			return checkedEpoch(e, b, slotLine, left)
 		default:
-			return levelerEpoch(e, b, lev, mov, slotLine, writes, endurance, worn)
+			return levelerEpoch(e, b, lev, mov, slotLine, left)
 		}
 	})
 }
@@ -218,13 +220,13 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 // translation through perm, and a credit decrement that calls Relocate
 // when it runs out.
 func swapEpoch(e *engine, b []int, swap *wearlevel.SwapWL, perm, credit []int, mov *cachedMover,
-	slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, ok bool) {
+	slotLine []int32, left []int64) (consumed int, ok bool) {
 	for i, lla := range b {
 		u := perm[lla]
 		line := slotLine[u]
-		w := writes[line] + 1
-		writes[line] = w
-		if w >= endurance[line] && !worn[line] {
+		l := left[line] - 1
+		left[line] = l
+		if l <= 0 {
 			if _, ok := e.wearOut(slotLine, u); !ok {
 				return i + 1, false
 			}
@@ -242,13 +244,13 @@ func swapEpoch(e *engine, b []int, swap *wearlevel.SwapWL, perm, credit []int, m
 // levelerEpoch writes the logical addresses of b under any other leveler,
 // through its Translate and OnWrite.
 func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
-	slotLine []int32, writes, endurance []int64, worn []bool) (consumed int, ok bool) {
+	slotLine []int32, left []int64) (consumed int, ok bool) {
 	for i, lla := range b {
 		u := lev.Translate(lla)
 		line := slotLine[u]
-		w := writes[line] + 1
-		writes[line] = w
-		if w >= endurance[line] && !worn[line] {
+		l := left[line] - 1
+		left[line] = l
+		if l <= 0 {
 			if _, ok := e.wearOut(slotLine, u); !ok {
 				return i + 1, false
 			}
@@ -260,16 +262,22 @@ func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
 	return len(b), true
 }
 
-// wearOut is the rare-path half of the inlined write: mark the slot's line
-// worn, run the replacement procedure, and refresh the cached binding.
-// PCD shrinks the user space inside OnWearOut, so the cache is cut to the
+// wearOut is the rare-path half of the inlined write, called whenever a
+// write leaves its line's budget at or below zero: mark the slot's line
+// worn, run the replacement procedure, and refresh the cached binding. A
+// line that is already worn (written again past wear-out) returns the
+// cache unchanged with ok, so no loop needs the Worn slice. PCD shrinks the user space inside OnWearOut, so the cache is cut to the
 // new capacity and the worn slot is refreshed only if it is still in the
 // space (PCD drops it when it was the last slot); every other scheme
 // keeps its capacity and the cache its length. Returns false on device
 // failure (e.failed is set).
 func (e *engine) wearOut(slotLine []int32, u int) ([]int32, bool) {
 	core := e.dev.Core()
-	core.Worn[slotLine[u]] = true
+	line := slotLine[u]
+	if core.Worn[line] {
+		return slotLine, true
+	}
+	core.Worn[line] = true
 	core.WornLines++
 	e.rebinds++
 	if !e.scheme.OnWearOut(u) {

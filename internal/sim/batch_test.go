@@ -7,6 +7,7 @@ import (
 	"maxwe/internal/endurance"
 	"maxwe/internal/faultinject"
 	"maxwe/internal/spare"
+	"maxwe/internal/wearlevel"
 	"maxwe/internal/xrand"
 )
 
@@ -24,21 +25,16 @@ func directCellProfile() *endurance.Profile {
 	return endurance.Linear(512, 32, el, el*q).ScaleToMean(mean).Shuffled(xrand.New(2))
 }
 
-func BenchmarkBatchedDirect(b *testing.B) {
-	p := directCellProfile()
-	cells := []struct {
-		name  string
-		build func() Config
-	}{
-		{"random/max-we", func() Config {
-			return Config{Profile: p, Scheme: spare.NewMaxWE(p, spare.DefaultMaxWEOptions()),
-				Attack: attack.NewRandomUniform(xrand.New(4))}
-		}},
-		{"uaa/pcd", func() Config {
-			return Config{Profile: p, Scheme: spare.NewPCD(p.Lines(), p.Lines()-p.Lines()/10),
-				Attack: attack.NewUAA()}
-		}},
-	}
+// benchCell is one named simulation of a cell benchmark; build returns a
+// fresh Config per iteration.
+type benchCell struct {
+	name  string
+	build func() Config
+}
+
+// runBenchCells runs each cell as a sub-benchmark and reports its cost per
+// simulated user write.
+func runBenchCells(b *testing.B, cells []benchCell) {
 	for _, c := range cells {
 		b.Run(c.name, func(b *testing.B) {
 			var writes int64
@@ -52,6 +48,47 @@ func BenchmarkBatchedDirect(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(writes), "ns/write")
 		})
 	}
+}
+
+func BenchmarkBatchedDirect(b *testing.B) {
+	p := directCellProfile()
+	runBenchCells(b, []benchCell{
+		{"random/max-we", func() Config {
+			return Config{Profile: p, Scheme: spare.NewMaxWE(p, spare.DefaultMaxWEOptions()),
+				Attack: attack.NewRandomUniform(xrand.New(4))}
+		}},
+		{"uaa/pcd", func() Config {
+			return Config{Profile: p, Scheme: spare.NewPCD(p.Lines(), p.Lines()-p.Lines()/10),
+				Attack: attack.NewUAA()}
+		}},
+	})
+}
+
+// BenchmarkBatchedLeveled runs the leveled loop (runBatchedLeveled) on a
+// Max-WE cell at the same default scale under attack.DefaultBPA, the
+// Figure 7/8 workload: tlsr and wawl, both randomized swap levelers, so
+// both run swapEpoch, wawl with endurance-weighted dwells. Each reports
+// its cost per simulated user write.
+func BenchmarkBatchedLeveled(b *testing.B) {
+	p := directCellProfile()
+	cell := func(name string, leveler func(sch spare.Scheme) wearlevel.Leveler) benchCell {
+		return benchCell{name, func() Config {
+			sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
+			return Config{Profile: p, Scheme: sch, Leveler: leveler(sch), Attack: attack.DefaultBPA(xrand.New(5))}
+		}}
+	}
+	runBenchCells(b, []benchCell{
+		cell("tlsr", func(sch spare.Scheme) wearlevel.Leveler {
+			return wearlevel.NewTLSR(sch.UserLines(), 32, xrand.New(3))
+		}),
+		cell("wawl", func(sch spare.Scheme) wearlevel.Leveler {
+			ms := make([]float64, sch.UserLines())
+			for u := range ms {
+				ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
+			}
+			return wearlevel.NewWAWL(len(ms), ms, 32, xrand.New(3))
+		}),
+	})
 }
 
 // BenchmarkPerWriteRoute measures the per-write route (generalEpoch

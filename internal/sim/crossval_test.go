@@ -356,17 +356,21 @@ func FuzzEngineCrossValidation(f *testing.F) {
 
 // checkCoreInvariants asserts the accounting every finished run must
 // leave in the device core: Total equals the sum of the per-line write
-// counters (the batched loops settle Total only when they return), and
-// WornLines equals the number of worn flags.
+// counts (the batched loops settle Total only when they return),
+// WornLines equals the number of worn flags, and every written line whose
+// budget is spent is flagged worn.
 func checkCoreInvariants(t *testing.T, name string, dev *device.Device) {
 	t.Helper()
 	c := dev.Core()
 	var sum int64
 	worn := 0
-	for line, w := range c.Writes {
+	for line, isWorn := range c.Worn {
+		w := c.Writes(line)
 		sum += w
-		if c.Worn[line] {
+		if isWorn {
 			worn++
+		} else if w > 0 && c.Left[line] <= 0 {
+			t.Fatalf("%s: line %d spent its budget (%d writes) but is not worn", name, line, w)
 		}
 	}
 	if sum != c.Total {
@@ -448,6 +452,72 @@ func BenchmarkFig7CellReference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := referenceRunDetailed(fig7CellConfig(p)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// absorbScheme keeps every slot on its boot-time line and absorbs its
+// first budget wear-outs without rebinding, so the engine goes on writing
+// lines past wear-out. Bindings never change, so the batched loops' cache
+// stays valid. A worn line's writes spend no budget, so runs over it need
+// a MaxUserWrites cap to end.
+type absorbScheme struct {
+	*spare.NoneScheme
+	budget int
+}
+
+func (s *absorbScheme) OnWearOut(int) bool {
+	if s.budget == 0 {
+		return false
+	}
+	s.budget--
+	return true
+}
+
+// TestBatchedWritesPastWearOut pins the batched loops' handling of a line
+// written again after it wore out: its budget is already spent, but the
+// write is no new wear-out, so the scheme must not hear of it again. Each
+// batched route must match the per-write route (where Core.Write filters
+// worn lines) in Result and per-line state.
+func TestBatchedWritesPastWearOut(t *testing.T) {
+	p := optimProfile()
+	for _, ak := range []string{"uaa", "repeated", "hotcold"} {
+		for _, lk := range []string{"", "identity", "tlsr", "start-gap"} {
+			build := func() Config {
+				cfg := Config{Profile: p, Scheme: &absorbScheme{spare.NewNone(p.Lines()), p.Lines() / 4},
+					MaxUserWrites: 2 * int64(p.Sum())}
+				cfg.Leveler = buildLeveler(lk, cfg.Scheme, p, 71)
+				cfg.Attack = buildAttack(ak, logicalOf(cfg), 72)
+				return cfg
+			}
+			name := ak + "/" + lk
+			gotRes, gotDev, err := RunDetailed(build())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			legacy := build()
+			legacy.Attack = plainAttack{inner: legacy.Attack}
+			wantRes, wantDev, err := RunDetailed(legacy)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if gotRes != wantRes {
+				t.Fatalf("%s: batched %+v != per-write %+v", name, gotRes, wantRes)
+			}
+			checkCoreInvariants(t, name, gotDev)
+			past := 0
+			for line := 0; line < p.Lines(); line++ {
+				if gotDev.Writes(line) > gotDev.Endurance(line) {
+					past++
+				}
+				if gotDev.Writes(line) != wantDev.Writes(line) || gotDev.Worn(line) != wantDev.Worn(line) {
+					t.Fatalf("%s: line %d diverged: %d/%v vs %d/%v", name, line,
+						gotDev.Writes(line), gotDev.Worn(line), wantDev.Writes(line), wantDev.Worn(line))
+				}
+			}
+			if past == 0 {
+				t.Fatalf("%s: no line was written past wear-out: %+v", name, gotRes)
+			}
 		}
 	}
 }
