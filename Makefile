@@ -111,7 +111,9 @@ serve-smoke:
 
 # cluster-smoke boots a coordinator plus two workers on random ports,
 # runs a federated sweep with one worker SIGKILLed mid-sweep, and asserts
-# the merged result is byte-identical to a single-node run.
+# the merged result is byte-identical to a single-node run, that the
+# coordinator's cache missed once per cell, and that a resubmit is served
+# from that cache without dispatching.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 

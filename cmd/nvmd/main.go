@@ -2,7 +2,7 @@
 //
 //	nvmd serve       -data DIR [-addr HOST:PORT] [-job-workers N] [-queue N] [-port-file PATH] [-cache] [-cache-dir DIR] [-cache-peer URL]
 //	nvmd coordinator (serve flags) [-lease-timeout D] [-worker-ttl D] [-lease-wait D]
-//	nvmd worker      -coordinator URL [-slots N] [-cache-dir DIR] [-name LABEL]
+//	nvmd worker      -coordinator URL [-slots N] [-name LABEL]
 //	nvmd submit      -spec FILE|- [client flags] [-wait] [-federated]
 //	nvmd status      -id JOB [client flags] [-partial]
 //	nvmd wait        -id JOB [client flags]
@@ -25,10 +25,11 @@
 // coordinator is serve plus the cluster layer: the daemon also mounts
 // /v1/cluster/* and dispatches the cells of federated jobs (spec field
 // "federated": true, or submit -federated) to registered workers instead
-// of computing them in-process. worker is the matching half — it joins a
-// coordinator, leases cells, computes them with the same engine, and
-// reports results; kill it any time, its leases expire and the cells move
-// to surviving workers. Because the coordinator commits results through
+// of computing them in-process; with -cache its memo cache answers every
+// repeated cell before dispatch. worker is the matching half — it joins a
+// coordinator, leases cells, computes them with the same engine (it
+// keeps no cache of its own), and reports results; kill it any time, its
+// leases expire and the cells move to surviving workers. Because the coordinator commits results through
 // the same ordered runner as a local sweep, a federated job's result,
 // events and checkpoint are byte-identical to a single-node run at any
 // worker count.
@@ -58,7 +59,6 @@ import (
 	"time"
 
 	"maxwe/internal/cluster"
-	"maxwe/internal/memo"
 	"maxwe/internal/service"
 	"maxwe/internal/service/client"
 	"maxwe/internal/sim"
@@ -287,7 +287,6 @@ func cmdWorker(args []string) error {
 	fs := newFlagSet("worker")
 	coordURL := fs.String("coordinator", "", "coordinator base URL (required)")
 	slots := fs.Int("slots", 0, "concurrent cells (0 = one per CPU)")
-	cacheDir := fs.String("cache-dir", "", "local memo cache directory; misses peer-fill from the coordinator")
 	label := fs.String("name", "", "worker label shown in nvmd workers (default hostname)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -307,31 +306,18 @@ func cmdWorker(args []string) error {
 		*label = host
 	}
 
-	var cache *memo.Cache
-	if *cacheDir != "" {
-		var err error
-		cache, err = memo.Open(memo.Options{
-			Dir:  *cacheDir,
-			Peer: &cluster.CachePeer{URL: base},
-		})
-		if err != nil {
-			return fmt.Errorf("worker: open cache: %w", err)
-		}
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "nvmd: worker %q joining %s (slots %d, cache %v)\n", *label, base, *slots, cache != nil)
+	fmt.Fprintf(os.Stderr, "nvmd: worker %q joining %s (slots %d)\n", *label, base, *slots)
 	err := cluster.RunWorker(ctx, cluster.WorkerOptions{
 		Coordinator: base,
 		Info: cluster.WorkerInfo{
 			Name:         *label,
 			Slots:        *slots,
-			CacheEnabled: cache != nil,
 			EngineSchema: sim.EngineSchemaVersion,
 		},
 		Compute: func(ctx context.Context, t cluster.Task) (json.RawMessage, error) {
-			v, err := service.ComputeCell(ctx, t.Spec, t.Key, cache)
+			v, err := service.ComputeCell(ctx, t.Spec, t.Key, nil)
 			return json.RawMessage(v), err
 		},
 		Logf: func(format string, args ...any) {

@@ -6,9 +6,8 @@
 // merged result document, event subsequence and checkpoint bytes are
 // identical to a single-node run at every worker count. Workers are
 // plain nvmd processes in worker mode: they register with capability
-// info, long-poll for leases, compute cells through their local memo
-// cache (peer-filled from the coordinator, see internal/memo.Peer), and
-// report canonical JSON results back.
+// info, long-poll for leases, compute cells (through a local memo cache
+// when they have one), and report canonical JSON results back.
 //
 // Determinism argument, in three parts:
 //
@@ -26,10 +25,11 @@
 // state: a worker that dies or stalls simply stops heartbeating, its
 // leases expire, and its cells are reassigned to the surviving workers;
 // a coordinator that dies restarts the job from its durable checkpoint
-// like any interrupted nvmd job. Sharding is sticky by cell fingerprint
-// (rendezvous hashing over live workers), so repeated and overlapping
-// sweeps land identical cells on the same worker and its memo cache
-// stays hot.
+// like any interrupted nvmd job. Leasing is plain FIFO: any worker with
+// a free slot takes the oldest pending cell. Cache locality is the
+// coordinator's job, not the scheduler's — its runner serves every
+// repeated cell from its own memo cache before dispatching, so only
+// cells no cache has seen ever reach a worker.
 //
 // Like internal/runner and internal/service, this package is daemon
 // plumbing: goroutines, sync and the wall clock are its job, and every
@@ -68,8 +68,9 @@ type WorkerInfo struct {
 	Name string `json:"name,omitempty"`
 	// Slots is how many cells the worker computes concurrently.
 	Slots int `json:"slots"`
-	// CacheEnabled reports whether the worker runs a local memo cache
-	// (peer-filled from the coordinator).
+	// CacheEnabled reports whether the worker runs a local memo cache.
+	// nvmd workers run none — the coordinator's cache sits in front of
+	// dispatch — so they always send false.
 	CacheEnabled bool `json:"cache_enabled"`
 	// EngineSchema is the worker's sim.EngineSchemaVersion. The
 	// coordinator rejects a mismatch: results from a semantically
@@ -141,8 +142,8 @@ type HeartbeatRequest struct {
 }
 
 // CacheGetRequest is the body of POST /v1/cluster/cache/get — the
-// peer-fill probe workers (and peered daemons) send on a local cache
-// miss.
+// peer-fill probe a daemon started with -cache-peer sends on a local
+// cache miss.
 type CacheGetRequest struct {
 	Key string `json:"key"`
 }

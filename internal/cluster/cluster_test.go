@@ -75,81 +75,134 @@ func dispatchAsync(ctx context.Context, c *Coordinator, key, fp string) chan err
 	return done
 }
 
-// drainLeases leases everything available to worker id, reporting each
-// task's canonical value, and returns the cell keys it computed.
-func drainLeases(t *testing.T, c *Coordinator, id string) []string {
+// waitDispatched polls until n cells have reached the coordinator, so a
+// test leases against a known queue instead of racing dispatchAsync.
+func waitDispatched(t *testing.T, c *Coordinator, n int64) {
 	t.Helper()
-	var keys []string
-	for {
-		task, err := c.Lease(context.Background(), id)
-		if err != nil {
-			t.Fatalf("lease %s: %v", id, err)
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Dispatched < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d cells dispatched", c.Stats().Dispatched, n)
 		}
-		if task == nil {
-			return keys
-		}
-		keys = append(keys, task.Key)
-		val := json.RawMessage(`{"cell":"` + task.Key + `"}`)
-		if err := c.Report(id, task.ID, val, ""); err != nil {
-			t.Fatalf("report %s: %v", id, err)
-		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-func TestStickyAssignmentIsStableAcrossSweeps(t *testing.T) {
+// mustLease leases one task for worker id, failing the test on none.
+func mustLease(t *testing.T, c *Coordinator, id string) *Task {
+	t.Helper()
+	task, err := c.Lease(context.Background(), id)
+	if err != nil || task == nil {
+		t.Fatalf("worker %s got no lease: task=%v err=%v", id, task, err)
+	}
+	return task
+}
+
+// reportCell reports the canonical test value for task and waits for its
+// dispatcher to return.
+func reportCell(t *testing.T, c *Coordinator, id string, task *Task, done chan error) {
+	t.Helper()
+	if err := c.Report(id, task.ID, json.RawMessage(`{"cell":"`+task.Key+`"}`), ""); err != nil {
+		t.Fatalf("report %s: %v", task.Key, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The fingerprints fp-0 and fp-3 are ones rendezvous hashing over the
+// worker IDs w-000001 and w-000002 gives to w-000001, so the two tests
+// below fail under a scheduler that pins cells to a fingerprint owner.
+
+func TestIdleWorkerLeasesWhileOtherIsAtSlotLimit(t *testing.T) {
+	c := NewCoordinator(testConfig(newFakeClock()))
+	one := testInfo()
+	one.Slots = 1
+	a, err := c.Register(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Register(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[string]chan error{
+		"cell-0": dispatchAsync(context.Background(), c, "cell-0", "fp-0"),
+		"cell-3": dispatchAsync(context.Background(), c, "cell-3", "fp-3"),
+	}
+	waitDispatched(t, c, 2)
+	ta := mustLease(t, c, a.WorkerID)
+	if extra, err := c.Lease(context.Background(), a.WorkerID); err != nil || extra != nil {
+		t.Fatalf("worker at its slot limit leased %v (err %v)", extra, err)
+	}
+	tb := mustLease(t, c, b.WorkerID)
+	if ta.Key == tb.Key {
+		t.Fatalf("both workers leased %s", ta.Key)
+	}
+	reportCell(t, c, a.WorkerID, ta, done[ta.Key])
+	reportCell(t, c, b.WorkerID, tb, done[tb.Key])
+}
+
+func TestSilentWorkerHoldsNoUnleasedCell(t *testing.T) {
 	clk := newFakeClock()
-	c := NewCoordinator(testConfig(clk))
-	var ids []string
-	for i := 0; i < 4; i++ {
-		resp, err := c.Register(testInfo())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, resp.WorkerID)
+	cfg := testConfig(clk)
+	c := NewCoordinator(cfg)
+	if _, err := c.Register(testInfo()); err != nil {
+		t.Fatal(err)
 	}
-	assignment := func() map[string]string {
-		byKey := make(map[string]string)
-		var waits []chan error
-		for i := 0; i < 16; i++ {
-			key := fmt.Sprintf("fig7/tlsr/%d", i)
-			waits = append(waits, dispatchAsync(context.Background(), c, key, "fp-"+key))
-		}
-		deadline := time.After(5 * time.Second)
-		for remaining := 16; remaining > 0; {
-			progressed := false
-			for _, id := range ids {
-				for _, key := range drainLeases(t, c, id) {
-					byKey[key] = id
-					remaining--
-					progressed = true
-				}
-			}
-			if !progressed {
-				select {
-				case <-deadline:
-					t.Fatalf("sweep stalled with %d cells undispatched", remaining)
-				case <-time.After(5 * time.Millisecond):
-				}
-			}
-		}
-		for _, wait := range waits {
-			if err := <-wait; err != nil {
-				t.Fatal(err)
-			}
-		}
-		return byKey
+	b, err := c.Register(testInfo())
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := assignment()
-	second := assignment()
-	spread := make(map[string]bool)
-	for key, worker := range first {
-		spread[worker] = true
-		if second[key] != worker {
-			t.Fatalf("cell %s moved from %s to %s between identical sweeps", key, worker, second[key])
+	done := dispatchAsync(context.Background(), c, "cell-0", "fp-0")
+	waitDispatched(t, c, 1)
+	// The first worker never polls again, but stays registered: the
+	// clock stops short of its TTL.
+	clk.Advance(cfg.WorkerTTL / 2)
+	got := mustLease(t, c, b.WorkerID)
+	if got.Key != "cell-0" {
+		t.Fatalf("leased %s, want cell-0", got.Key)
+	}
+	if ws := c.Workers(); len(ws) != 2 {
+		t.Fatalf("%d workers registered, want the silent one still listed", len(ws))
+	}
+	reportCell(t, c, b.WorkerID, got, done)
+}
+
+func TestRequeuedCellsLeaseInDispatchOrder(t *testing.T) {
+	clk := newFakeClock()
+	cfg := testConfig(clk)
+	c := NewCoordinator(cfg)
+	a, err := c.Register(testInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(map[string]chan error)
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("cell-%d", i)
+		done[key] = dispatchAsync(context.Background(), c, key, "fp-"+key)
+		waitDispatched(t, c, int64(i+1))
+	}
+	for _, want := range []string{"cell-0", "cell-1"} {
+		if got := mustLease(t, c, a.WorkerID); got.Key != want {
+			t.Fatalf("first lease pass gave %s, want %s", got.Key, want)
 		}
 	}
-	if len(spread) < 2 {
-		t.Fatalf("16 cells all landed on %d worker(s); rendezvous sharding is not spreading", len(spread))
+	// Both leases lapse; the requeued cells go back ahead of cell-2.
+	clk.Advance(cfg.LeaseTimeout + time.Second)
+	b, err := c.Register(testInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"cell-0", "cell-1", "cell-2"} {
+		got := mustLease(t, c, b.WorkerID)
+		if got.Key != want {
+			t.Fatalf("after expiry leased %s, want %s", got.Key, want)
+		}
+		reportCell(t, c, b.WorkerID, got, done[want])
+	}
+	if s := c.Stats(); s.Reassigned != 2 {
+		t.Fatalf("Reassigned = %d, want 2", s.Reassigned)
 	}
 }
 
@@ -167,7 +220,7 @@ func TestLeaseExpiryReassignsToSurvivor(t *testing.T) {
 		t.Fatalf("worker A got no lease: task=%v err=%v", task, err)
 	}
 	// A goes silent past its lease (but not its TTL); the task must
-	// become grabbable by a newcomer even if rendezvous prefers A.
+	// become grabbable by a newcomer.
 	clk.Advance(cfg.LeaseTimeout + time.Second)
 	b, err := c.Register(testInfo())
 	if err != nil {

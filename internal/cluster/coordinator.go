@@ -1,6 +1,6 @@
 // coordinator.go is the scheduling half of the federation: a worker
-// registry with TTL expiry, a FIFO task queue with sticky rendezvous
-// assignment by cell fingerprint, lease deadlines with lazy expiry and
+// registry with TTL expiry, a FIFO task queue leased oldest-first to any
+// worker with a free slot, lease deadlines with lazy expiry and
 // reassignment, and a long-poll lease endpoint driven by the same
 // closed-channel wake pattern as the service event log. DispatchCell is
 // the bridge the sweep runner calls: it blocks until some worker has
@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync" //lint:allow nondeterminism "the coordinator is daemon scheduling plumbing; cell values are content-deterministic, so scheduling order cannot change any merged byte"
 	"time"
@@ -66,14 +65,11 @@ type workerState struct {
 // completed. A canceled task stays in the table (completed, with no
 // waiter) so a late report is recognized instead of erroring.
 type taskState struct {
-	task     Task
-	leasedTo string
-	deadline time.Time
-	// orphaned marks a task whose lease already expired once (worker
-	// dead or stalled): it becomes grabbable by ANY worker, because the
-	// rendezvous owner may be the very worker that is wedged on it.
-	// Stickiness is a cache optimization for the healthy path only.
-	orphaned  bool
+	task Task
+	// seq is the dispatch order; the pending queue stays sorted by it.
+	seq       int64
+	leasedTo  string
+	deadline  time.Time
 	completed bool
 	value     json.RawMessage
 	err       string
@@ -88,13 +84,14 @@ type Coordinator struct {
 	mu      sync.Mutex //lint:allow nondeterminism "guards the scheduler tables; see package doc"
 	workers map[string]*workerState
 	tasks   map[string]*taskState
-	// pending is the FIFO of task IDs awaiting a lease; entries are
-	// skipped lazily once leased or completed.
-	pending    []string
+	// pending holds the unleased tasks in dispatch order; entries that
+	// completed while queued (canceled, or reported late) are dropped
+	// lazily when they reach the head.
+	pending    []*taskState
 	nextWorker int64
 	nextTask   int64
-	// wake is closed (and replaced) whenever the pending set can have
-	// grown or the worker set changed, so long-polling leases re-check.
+	// wake is closed (and replaced) whenever the pending queue grows, so
+	// long-polling leases re-check.
 	wake chan struct{}
 
 	dispatched     int64
@@ -154,7 +151,6 @@ func (c *Coordinator) Register(info WorkerInfo) (RegisterResponse, error) {
 		leased:   make(map[string]bool),
 	}
 	c.registered++
-	c.wakeLocked() // a new worker changes rendezvous owners
 	return RegisterResponse{
 		WorkerID:       id,
 		LeaseTimeoutMS: c.cfg.LeaseTimeout.Milliseconds(),
@@ -178,10 +174,11 @@ func (c *Coordinator) DispatchCell(ctx context.Context, job string, spec []byte,
 			Fingerprint: fingerprint,
 			Spec:        json.RawMessage(spec),
 		},
+		seq:  c.nextTask,
 		done: make(chan struct{}),
 	}
 	c.tasks[id] = st
-	c.pending = append(c.pending, id)
+	c.pending = append(c.pending, st)
 	c.dispatched++
 	c.wakeLocked()
 	c.mu.Unlock()
@@ -225,10 +222,10 @@ func (c *Coordinator) cancelTask(id string) {
 
 // Lease hands the calling worker its next task, long-polling up to the
 // configured lease wait. A nil task with nil error means "nothing for
-// you right now; ask again". Assignment is sticky: a pending task goes
-// only to the rendezvous owner of its fingerprint among live workers,
-// so repeated sweeps keep hitting the same memo caches; reassignment
-// happens implicitly when expiry changes the live set.
+// you right now; ask again". Any worker under its slot limit gets the
+// oldest pending task: a repeated cell never gets this far, because the
+// coordinator's runner serves it from its own memo cache before it
+// dispatches.
 func (c *Coordinator) Lease(ctx context.Context, workerID string) (*Task, error) {
 	deadline := c.cfg.Now().Add(c.cfg.LeaseWait)
 	for {
@@ -264,69 +261,42 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string) (*Task, error)
 	}
 }
 
-// leaseLocked pops the first pending task owned by w, leasing it. The
-// pending FIFO is compacted lazily: entries already leased or completed
-// are dropped as they are passed over.
+// leaseLocked pops the oldest pending task for w, leasing it, unless w
+// is at its slot limit.
 func (c *Coordinator) leaseLocked(w *workerState, now time.Time) *Task {
-	if w.info.Slots > 0 && len(w.leased) >= w.info.Slots {
+	if len(w.leased) >= w.info.Slots {
 		return nil
 	}
-	live := c.liveWorkerIDsLocked()
-	kept := c.pending[:0]
-	var picked *taskState
-	for _, id := range c.pending {
-		st, ok := c.tasks[id]
-		if !ok || st.completed || st.leasedTo != "" {
-			continue // lazily compact
-		}
-		if picked == nil && (st.orphaned || c.ownerOf(st.task, live) == w.id) {
-			picked = st
+	for len(c.pending) > 0 {
+		st := c.pending[0]
+		c.pending = c.pending[1:]
+		if st.completed {
 			continue
 		}
-		kept = append(kept, id)
+		st.leasedTo = w.id
+		st.deadline = now.Add(c.cfg.LeaseTimeout)
+		w.leased[st.task.ID] = true
+		t := st.task
+		return &t
 	}
-	c.pending = kept
-	if picked == nil {
-		return nil
-	}
-	picked.leasedTo = w.id
-	picked.deadline = now.Add(c.cfg.LeaseTimeout)
-	w.leased[picked.task.ID] = true
-	t := picked.task
-	return &t
+	return nil
 }
 
-// ownerOf picks the sticky assignee of a task among the live workers by
-// rendezvous (highest-random-weight) hashing of its fingerprint, so the
-// mapping is stable under membership changes except for the moved keys.
-func (c *Coordinator) ownerOf(t Task, live []string) string {
-	key := t.Fingerprint
-	if key == "" {
-		key = t.Job + "/" + t.Key
+// requeueLocked takes back a lease that expired (worker dead or
+// stalled) and returns its task to the pending queue at its dispatch
+// position, so the oldest cell — the one the runner's ordered collector
+// commits next — is leased again first.
+func (c *Coordinator) requeueLocked(st *taskState) {
+	if w := c.workers[st.leasedTo]; w != nil {
+		delete(w.leased, st.task.ID)
 	}
-	best, bestScore := "", uint64(0)
-	for _, id := range live {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(key))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(id))
-		if s := h.Sum64(); best == "" || s > bestScore || (s == bestScore && id < best) {
-			best, bestScore = id, s
-		}
-	}
-	return best
-}
-
-// liveWorkerIDsLocked lists registered workers sorted by ID — sorted so
-// the rendezvous tie-break and every serialized listing are free of map
-// iteration order.
-func (c *Coordinator) liveWorkerIDsLocked() []string {
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	st.leasedTo = ""
+	i := sort.Search(len(c.pending), func(i int) bool { return c.pending[i].seq > st.seq })
+	c.pending = append(c.pending, nil)
+	copy(c.pending[i+1:], c.pending[i:])
+	c.pending[i] = st
+	c.reassigned++
+	c.wakeLocked()
 }
 
 // Report commits a worker's result for a leased task. Results are
@@ -390,37 +360,21 @@ func (c *Coordinator) Heartbeat(workerID string, tasks []string) error {
 // requeued; leases past their deadline are requeued even when the
 // worker itself is still live (a stalled cell must not strand a sweep).
 func (c *Coordinator) expireLocked(now time.Time) {
-	changed := false
 	for id, w := range c.workers {
 		if now.Sub(w.lastSeen) > c.cfg.WorkerTTL {
 			for taskID := range w.leased {
 				if st, ok := c.tasks[taskID]; ok && !st.completed && st.leasedTo == id {
-					st.leasedTo = ""
-					st.orphaned = true
-					c.pending = append(c.pending, taskID)
-					c.reassigned++
-					changed = true
+					c.requeueLocked(st)
 				}
 			}
 			delete(c.workers, id)
 			c.expiredWorkers++
-			changed = true
 		}
 	}
-	for id, st := range c.tasks {
+	for _, st := range c.tasks {
 		if st.leasedTo != "" && !st.completed && now.After(st.deadline) {
-			if w := c.workers[st.leasedTo]; w != nil {
-				delete(w.leased, id)
-			}
-			st.leasedTo = ""
-			st.orphaned = true
-			c.pending = append(c.pending, id)
-			c.reassigned++
-			changed = true
+			c.requeueLocked(st)
 		}
-	}
-	if changed {
-		c.wakeLocked()
 	}
 }
 
@@ -437,8 +391,13 @@ func (c *Coordinator) Workers() []WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(c.cfg.Now())
-	out := make([]WorkerStatus, 0, len(c.workers))
-	for _, id := range c.liveWorkerIDsLocked() {
+	ids := make([]string, 0, len(c.workers))
+	for id := range c.workers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	out := make([]WorkerStatus, 0, len(ids))
+	for _, id := range ids {
 		w := c.workers[id]
 		out = append(out, WorkerStatus{
 			ID:        w.id,

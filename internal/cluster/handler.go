@@ -1,11 +1,18 @@
 // handler.go serves the /v1/cluster wire surface over a Coordinator:
 // worker lifecycle (register, lease, result, heartbeat), the peer-fill
-// cache endpoint, and read-only observability (workers, stats). The
-// handler is a plain http.Handler so cmd/nvmd composes it onto the same
-// mux as the job API and /metrics.
+// cache endpoint with its client (CachePeer), and read-only
+// observability (workers, stats). The handler is a plain http.Handler so
+// cmd/nvmd composes it onto the same mux as the job API and /metrics.
+//
+// Every POST answers 400 for a body that is not its request JSON and
+// 413 for one past maxBodyBytes. Beyond that, register answers 200 or
+// 409 (incompatible worker); lease 200 with a task, 204 for none, 404
+// (unknown worker) or 503 (request ended mid-poll); result and
+// heartbeat 200 or 404; cache/get 200 (hit) or 404 (miss, or no cache).
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +20,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // maxBodyBytes bounds request bodies; specs and cell values are small
@@ -130,6 +138,47 @@ func (h *Handler) cacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, CacheGetResponse{Value: json.RawMessage(val)})
+}
+
+// CachePeer is the client side of cacheGet: it fills local memo-cache
+// misses from another daemon's /v1/cluster/cache/get endpoint (nvmd
+// serve -cache-peer) and implements memo.Peer. Failures of any kind are
+// plain misses — peering is an optimization, never a dependency.
+type CachePeer struct {
+	// URL is the peer base URL (any nvmd daemon with a cache, which
+	// serves the peer-fill endpoint).
+	URL string
+	// Client issues the probes (default: 5-second-timeout client).
+	Client *http.Client
+}
+
+// Fetch probes the peer for key, satisfying memo.Peer.
+func (p *CachePeer) Fetch(key string) ([]byte, bool) {
+	client := p.Client
+	if client == nil {
+		client = &http.Client{Timeout: 5 * time.Second}
+	}
+	body, err := json.Marshal(CacheGetRequest{Key: key})
+	if err != nil {
+		return nil, false
+	}
+	resp, err := client.Post(p.URL+"/v1/cluster/cache/get", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, false
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		return nil, false
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	if err != nil {
+		return nil, false
+	}
+	var out CacheGetResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, false
+	}
+	return out.Value, len(out.Value) > 0
 }
 
 func (h *Handler) workers(w http.ResponseWriter, r *http.Request) {

@@ -1,16 +1,13 @@
 // worker.go is the worker half of the federation: a pull loop that
 // registers with the coordinator, long-polls leases across N slots,
 // computes each cell through an injected compute function (cmd/nvmd
-// wires service.ComputeCell through the worker's memo cache), reports
+// wires service.ComputeCell with no cache of its own), reports
 // canonical JSON results, and heartbeats to keep its registration and
 // leases alive. Everything recovers by re-registering: a 404 from the
 // coordinator means "I forgot you" (TTL expiry or restart) and the
 // worker simply introduces itself again — leases it still held become
 // late results, which the coordinator accepts or drops safely because
 // cell values are content-deterministic.
-//
-// CachePeer lives here too: the memo.Peer implementation that fills
-// local cache misses from a coordinator's /v1/cluster/cache/get.
 package cluster
 
 import (
@@ -320,45 +317,4 @@ func (w *worker) post(ctx context.Context, path string, in, out any) (int, error
 		}
 	}
 	return resp.StatusCode, nil
-}
-
-// CachePeer fills local memo-cache misses from a coordinator's
-// /v1/cluster/cache/get endpoint; it implements memo.Peer. Failures of
-// any kind are plain misses — peering is an optimization, never a
-// dependency.
-type CachePeer struct {
-	// URL is the peer base URL (a coordinator, or any nvmd daemon
-	// exposing the cluster cache surface).
-	URL string
-	// Client issues the probes (default: 5-second-timeout client).
-	Client *http.Client
-}
-
-// Fetch probes the peer for key, satisfying memo.Peer.
-func (p *CachePeer) Fetch(key string) ([]byte, bool) {
-	client := p.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
-	body, err := json.Marshal(CacheGetRequest{Key: key})
-	if err != nil {
-		return nil, false
-	}
-	resp, err := client.Post(p.URL+"/v1/cluster/cache/get", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, false
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, false
-	}
-	var out CacheGetResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, false
-	}
-	return out.Value, len(out.Value) > 0
 }

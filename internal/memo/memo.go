@@ -67,12 +67,12 @@ func Fingerprint(scope string, v any) string {
 	return scope + "/" + hex.EncodeToString(sum[:])
 }
 
-// Peer is a remote cache another node exposes — in the nvmd federation,
-// a coordinator's /v1/cluster/cache surface. A peer is consulted only
-// after both local tiers miss, and exclusively as an optimization: any
-// fetch failure (network, timeout, peer down) must be reported as a
-// plain miss so the caller computes locally. Implementations must be
-// safe for concurrent use.
+// Peer is a remote cache another node exposes — for nvmd serve
+// -cache-peer, a sibling daemon's /v1/cluster/cache/get surface. A peer
+// is consulted only after both local tiers miss, and exclusively as an
+// optimization: any fetch failure (network, timeout, peer down) must be
+// reported as a plain miss so the caller computes locally.
+// Implementations must be safe for concurrent use.
 type Peer interface {
 	// Fetch returns the peer's value for key; ok is false on a miss or
 	// on any transport failure.
@@ -301,10 +301,10 @@ func (c *Cache) lookupDisk(key string) ([]byte, bool) {
 }
 
 // lookupPeer probes the configured remote peer (the peer-fill path of
-// the nvmd federation). A hit is written through to both local tiers so
-// the entry is served locally from then on; a probe failure — or a peer
-// value that is not valid JSON — is a miss, never an error, because the
-// peer is an optimization the caller can always compute around.
+// nvmd serve -cache-peer). A hit is written through to both local tiers
+// so the entry is served locally from then on; a probe failure — or a
+// peer value that is not valid JSON — is a miss, never an error, because
+// the peer is an optimization the caller can always compute around.
 func (c *Cache) lookupPeer(key string) ([]byte, bool) {
 	if c.peer == nil {
 		return nil, false

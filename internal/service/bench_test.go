@@ -114,7 +114,7 @@ func BenchmarkFederatedSweep(b *testing.B) {
 	b.Run("federated-2-workers", func(b *testing.B) {
 		m, coord, srv := startFedManager(b, b.TempDir())
 		for w := 0; w < 2; w++ {
-			startFedWorker(b, srv.URL, fmt.Sprintf("bench-%d", w), 2, localCompute(nil))
+			startFedWorker(b, srv.URL, fmt.Sprintf("bench-%d", w), 2, localCompute)
 		}
 		waitWorkers(b, coord, 2)
 		spec := benchSweepSpec()

@@ -81,9 +81,10 @@ func maybeFederate[T any](d CellDispatcher, j *job, cells []runner.Cell[T]) ([]r
 
 // ComputeCell computes one federated cell: it normalizes the job spec
 // from the task, expands the job's cells exactly as the coordinator
-// did, and runs the one matching key through the worker's memo cache
-// (nil cache computes directly). The returned bytes are the canonical
-// JSON of the cell value.
+// did, and runs the one matching key through cache (nil computes
+// directly, as nvmd workers do: the coordinator's cache already sits in
+// front of dispatch). The returned bytes are the canonical JSON of the
+// cell value.
 func ComputeCell(ctx context.Context, rawSpec []byte, key string, cache *memo.Cache) ([]byte, error) {
 	var spec JobSpec
 	if err := json.Unmarshal(rawSpec, &spec); err != nil {

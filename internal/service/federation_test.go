@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"maxwe/internal/cluster"
-	"maxwe/internal/memo"
 	"maxwe/internal/service"
 	"maxwe/internal/service/client"
 	"maxwe/internal/sim"
@@ -41,13 +40,21 @@ func fedSpec() service.JobSpec {
 // them. The short lease timeout keeps the kill-mid-cell test fast.
 func startFedManager(t testing.TB, dir string) (*service.Manager, *cluster.Coordinator, *httptest.Server) {
 	t.Helper()
+	return startCoordinator(t, service.Config{DataDir: dir})
+}
+
+// startCoordinator is startFedManager over a caller-built manager
+// config (Dispatcher is filled in).
+func startCoordinator(t testing.TB, cfg service.Config) (*service.Manager, *cluster.Coordinator, *httptest.Server) {
+	t.Helper()
 	coord := cluster.NewCoordinator(cluster.Config{
 		LeaseTimeout: 500 * time.Millisecond,
 		WorkerTTL:    1500 * time.Millisecond,
 		LeaseWait:    20 * time.Millisecond,
 		EngineSchema: sim.EngineSchemaVersion,
 	})
-	m, err := service.NewManager(service.Config{DataDir: dir, Dispatcher: coord})
+	cfg.Dispatcher = coord
+	m, err := service.NewManager(cfg)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -62,12 +69,10 @@ func startFedManager(t testing.TB, dir string) (*service.Manager, *cluster.Coord
 }
 
 // localCompute is the worker compute function cmd/nvmd wires: the same
-// engine a local sweep runs, optionally through a memo cache.
-func localCompute(cache *memo.Cache) cluster.ComputeFunc {
-	return func(ctx context.Context, task cluster.Task) (json.RawMessage, error) {
-		v, err := service.ComputeCell(ctx, task.Spec, task.Key, cache)
-		return json.RawMessage(v), err
-	}
+// engine a local sweep runs, with no cache of its own.
+func localCompute(ctx context.Context, task cluster.Task) (json.RawMessage, error) {
+	v, err := service.ComputeCell(ctx, task.Spec, task.Key, nil)
+	return json.RawMessage(v), err
 }
 
 // startFedWorker runs an in-process worker against the coordinator URL
@@ -189,7 +194,7 @@ func TestFederatedByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			m, coord, srv := startFedManager(t, t.TempDir())
 			for w := 0; w < workers; w++ {
-				startFedWorker(t, srv.URL, fmt.Sprintf("fed-%d", w), 2, localCompute(nil))
+				startFedWorker(t, srv.URL, fmt.Sprintf("fed-%d", w), 2, localCompute)
 			}
 
 			fspec := spec
@@ -255,15 +260,14 @@ func TestFederatedSurvivesWorkerKilledMidCell(t *testing.T) {
 
 	// Kill the victim only once it demonstrably holds a cell mid-compute,
 	// then bring up the survivor: the victim's lease expires and its cell
-	// re-shards, the victim itself TTL-expires and its remaining sticky
-	// cells move too.
+	// goes back to the queue for the survivor.
 	select {
 	case <-victimBusy:
 	case <-time.After(30 * time.Second):
 		t.Fatal("victim worker never leased a cell")
 	}
 	victimKill()
-	startFedWorker(t, srv.URL, "survivor", 2, localCompute(nil))
+	startFedWorker(t, srv.URL, "survivor", 2, localCompute)
 
 	events := collectEvents(t, srv.URL, st.ID)
 	if final := waitState(t, m, st.ID); final.State != service.StateDone {
@@ -366,5 +370,57 @@ func TestPeerCacheSecondSweepComputesNothingLocally(t *testing.T) {
 	}
 	if !strings.Contains(text, fmt.Sprintf("nvmd_cache_peer_hits_total %d", cells)) {
 		t.Fatalf("metrics missing peer hit counter:\n%s", text)
+	}
+}
+
+// TestCachedCoordinatorNeverRedispatchesARepeatedCell pins why the
+// coordinator's memo cache is the one cache in front of dispatch: its
+// runner looks every cell up before dispatching, so a federated job run
+// a second time is served entirely from memory — no cell reaches a
+// worker — with the same result bytes.
+func TestCachedCoordinatorNeverRedispatchesARepeatedCell(t *testing.T) {
+	dir := t.TempDir()
+	m, coord, srv := startCoordinator(t, service.Config{DataDir: dir, CacheDir: filepath.Join(dir, "cache")})
+	startFedWorker(t, srv.URL, "fed-0", 2, localCompute)
+
+	spec := fedSpec()
+	spec.Federated = true
+	cells := int64(len(spec.Cells))
+	// run returns the job's result with its ID blanked, the one field
+	// that differs between two submissions of the same spec.
+	run := func() []byte {
+		t.Helper()
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if final := waitState(t, m, st.ID); final.State != service.StateDone {
+			t.Fatalf("federated job ended %s: %s", final.State, final.Error)
+		}
+		raw, err := m.Result(st.ID)
+		if err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+		return bytes.Replace(raw, []byte(st.ID), nil, 1)
+	}
+
+	first := run()
+	if d := coord.Stats().Dispatched; d != cells {
+		t.Fatalf("first run dispatched %d cells, want %d", d, cells)
+	}
+	before := m.CacheStats().Stats
+	second := run()
+	if d := coord.Stats().Dispatched; d != cells {
+		t.Fatalf("second run dispatched %d more cells; a cached coordinator must dispatch none", d-cells)
+	}
+	after := m.CacheStats().Stats
+	if hits := after.MemHits - before.MemHits; hits != cells {
+		t.Fatalf("second run took %d memory hits, want %d", hits, cells)
+	}
+	if after.Misses != before.Misses {
+		t.Fatalf("second run missed the cache %d times", after.Misses-before.Misses)
+	}
+	if !bytes.Equal(second, first) {
+		t.Fatalf("cached rerun differs:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
 }

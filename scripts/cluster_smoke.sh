@@ -2,11 +2,14 @@
 # cluster_smoke.sh — end-to-end smoke test of the nvmd federation layer.
 #
 # Runs the same Figure 7 sweep twice: once on a plain single-node daemon,
-# once federated across a coordinator plus two workers with one worker
-# SIGKILLed mid-sweep. The killed worker's leases expire, its cells
-# re-shard to the survivor, and the merged federated result must come out
-# byte-identical to the single-node run. Also checks the coordinator's
-# worker listing and cluster metrics, then asserts clean drains.
+# once federated across a cached coordinator plus two workers with one
+# worker SIGKILLed mid-sweep. The killed worker's leases expire, its
+# cells go to the survivor, and the merged federated result must come out
+# byte-identical to the single-node run. The coordinator's cache must
+# have missed exactly once per cell, and a resubmitted sweep must be
+# served from that cache without dispatching a single cell. Also checks
+# the coordinator's worker listing and cluster metrics, then asserts
+# clean drains.
 set -eu
 
 GO=${GO:-go}
@@ -69,7 +72,7 @@ kill -TERM "$seq_pid"
 wait "$seq_pid"
 
 echo "cluster-smoke: starting coordinator + 2 workers"
-"$tmp/nvmd" coordinator -addr 127.0.0.1:0 -data "$tmp/fed" \
+"$tmp/nvmd" coordinator -addr 127.0.0.1:0 -data "$tmp/fed" -cache \
     -port-file "$tmp/fed.port" \
     -lease-timeout 1s -worker-ttl 3s -lease-wait 100ms 2>"$tmp/fed.log" &
 fed_pid=$!
@@ -77,10 +80,12 @@ pids="$pids $fed_pid"
 wait_port "$tmp/fed.port" "$fed_pid" "$tmp/fed.log"
 fed_addr="http://$(cat "$tmp/fed.port")"
 
-"$tmp/nvmd" worker -coordinator "$fed_addr" -slots 2 -name smoke-w1 2>"$tmp/w1.log" &
+"$tmp/nvmd" worker -coordinator "$fed_addr" -slots 2 -name smoke-w1 \
+    2>"$tmp/w1.log" &
 w1_pid=$!
 pids="$pids $w1_pid"
-"$tmp/nvmd" worker -coordinator "$fed_addr" -slots 2 -name smoke-w2 2>"$tmp/w2.log" &
+"$tmp/nvmd" worker -coordinator "$fed_addr" -slots 2 -name smoke-w2 \
+    2>"$tmp/w2.log" &
 w2_pid=$!
 pids="$pids $w2_pid"
 
@@ -118,6 +123,28 @@ echo "cluster-smoke: checking cluster observability"
 grep -q '^nvmd_cluster_completed_total 5$' "$tmp/fed-metrics.txt"
 "$tmp/nvmd" workers -addr "$fed_addr" >"$tmp/fed-workers.json"
 grep -q '"name": "smoke-w2"' "$tmp/fed-workers.json"
+
+echo "cluster-smoke: checking the coordinator cache"
+if ! grep -q '^nvmd_cache_misses_total 5$' "$tmp/fed-metrics.txt"; then
+    echo "cluster-smoke: coordinator cache misses, want 5 (one per cell):" >&2
+    grep '^nvmd_cache_' "$tmp/fed-metrics.txt" >&2
+    exit 1
+fi
+dispatched=$(sed -n 's/^nvmd_cluster_dispatched_total //p' "$tmp/fed-metrics.txt")
+"$tmp/nvmd" submit -addr "$fed_addr" -spec "$tmp/spec.json" -federated -wait >"$tmp/rerun-final.json"
+grep -q '"state": "done"' "$tmp/rerun-final.json"
+"$tmp/nvmd" result -addr "$fed_addr" -id job-000002 | sed 's/job-000002/job-000001/' >"$tmp/rerun.json"
+if ! cmp -s "$tmp/sequential.json" "$tmp/rerun.json"; then
+    echo "cluster-smoke: cached rerun differs from single-node run" >&2
+    diff "$tmp/sequential.json" "$tmp/rerun.json" >&2 || true
+    exit 1
+fi
+"$tmp/nvmd" metrics -addr "$fed_addr" >"$tmp/rerun-metrics.txt"
+if ! grep -q "^nvmd_cluster_dispatched_total $dispatched\$" "$tmp/rerun-metrics.txt"; then
+    echo "cluster-smoke: cached rerun dispatched cells (was $dispatched):" >&2
+    grep '^nvmd_cluster_dispatched_total' "$tmp/rerun-metrics.txt" >&2
+    exit 1
+fi
 
 echo "cluster-smoke: draining coordinator and surviving worker (SIGTERM)"
 kill -TERM "$w2_pid"
