@@ -115,7 +115,16 @@ type BPA struct {
 	writes  int
 	src     *xrand.Source
 	spaceN  int
+	// ring repeats victims whole to at least len(victims)+bpaRun entries,
+	// so ring[cursor:] holds the next bpaRun addresses in order. draw
+	// empties it and NextBatch refills it, so Next alone never pays for
+	// it (PCD re-draws on every wear-out and draws with Next).
+	ring []int
 }
+
+// bpaRun is the longest stretch NextBatch fills with one copy: the sim's
+// epoch length.
+const bpaRun = 1024
 
 // NewBPA builds a birthday-paradox attack with setSize victim addresses,
 // re-drawn every repick writes (0 disables re-drawing).
@@ -168,6 +177,7 @@ func (a *BPA) draw(n int) {
 	a.cursor = 0
 	a.writes = 0
 	a.spaceN = n
+	a.ring = a.ring[:0]
 }
 
 // TargetedSweep writes a fixed list of victim addresses round-robin — the

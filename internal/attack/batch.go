@@ -64,14 +64,17 @@ func sweepRuns(next, limit int, dst []int) int {
 
 // NextBatch implements BatchAttack. Redraw boundaries land at exactly the
 // write indexes the per-write stream redraws at; between redraws the
-// round-robin is emitted with copy, one stretch of the victim list at a
-// time from the cursor to the list's end.
+// round-robin is emitted with copy from the victim ring, one copy per
+// bpaRun addresses.
 func (a *BPA) NextBatch(n int, dst []int) {
 	checkN(n)
 	i := 0
 	for i < len(dst) {
 		if a.victims == nil || a.spaceN != n || (a.repick > 0 && a.writes >= a.repick) {
 			a.draw(n)
+		}
+		if len(a.ring) == 0 {
+			a.fillRing()
 		}
 		run := len(dst) - i
 		if a.repick > 0 {
@@ -80,14 +83,20 @@ func (a *BPA) NextBatch(n int, dst []int) {
 			}
 		}
 		for out := dst[i : i+run]; len(out) > 0; {
-			k := copy(out, a.victims[a.cursor:])
+			k := copy(out, a.ring[a.cursor:])
 			out = out[k:]
-			if a.cursor += k; a.cursor == len(a.victims) {
-				a.cursor = 0
-			}
+			a.cursor = (a.cursor + k) % len(a.victims)
 		}
 		a.writes += run
 		i += run
+	}
+}
+
+// fillRing repeats the drawn victim list whole into the empty ring until
+// it holds at least len(victims)+bpaRun addresses.
+func (a *BPA) fillRing() {
+	for len(a.ring) < len(a.victims)+bpaRun {
+		a.ring = append(a.ring, a.victims...)
 	}
 }
 

@@ -72,12 +72,21 @@ func TestNextBatchMatchesNext(t *testing.T) {
 // the space below the sweep cursor (next >= n2), where UAA and PartialUAA
 // must wrap to 0 before their first run; the fifth does it with an empty
 // batch, which must leave the cursor where it was.
+//
+// Four BPAs cover the victim ring. The sixth seed keeps the space at
+// n = 200 for 1400 + 2047 writes: both batches are longer than the ring
+// of the 16- and 3-victim sets, the 3-victim set re-draws every 1000
+// writes, a repick that divides neither batch length, so it re-draws
+// mid-batch, and the 250-victim set is larger than the space (as is the
+// 4-victim set under the seventh seed's n = 3).
 func FuzzNextBatchMatchesNext(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(0), uint8(0), uint16(3))
 	f.Add(uint64(2), uint8(63), uint16(8), uint8(4), uint16(17))
 	f.Add(uint64(3), uint8(63), uint16(8), uint8(63), uint16(0))
 	f.Add(uint64(4), uint8(199), uint16(900), uint8(9), uint16(1024))
 	f.Add(uint64(5), uint8(63), uint16(8), uint8(4), uint16(0))
+	f.Add(uint64(6), uint8(199), uint16(799), uint8(199), uint16(2047))
+	f.Add(uint64(7), uint8(2), uint16(5), uint8(2), uint16(40))
 	f.Fuzz(func(t *testing.T, seed uint64, n8 uint8, extra uint16, cut uint8, tail uint16) {
 		n := int(n8)%200 + 1
 		n2 := int(cut)%n + 1
@@ -89,6 +98,9 @@ func FuzzNextBatchMatchesNext(f *testing.F) {
 				NewPartialUAA(0.35),
 				NewPartialUAA(1),
 				NewBPA(4, 17, xrand.New(seed)),
+				NewBPA(16, 100_000, xrand.New(seed+3)),
+				NewBPA(3, 1000, xrand.New(seed+4)),
+				NewBPA(250, 1500, xrand.New(seed+5)),
 				NewTargetedSweep([]int{3, 3, 9, 41, 0}),
 				NewRepeated(5),
 				NewHotCold(64, 1.2, xrand.New(seed+1)),

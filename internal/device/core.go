@@ -15,7 +15,9 @@ import "maxwe/internal/endurance"
 //
 //   - Left[i] is Endurance[i] minus every physical write to line i, worn
 //     or not; it goes negative on writes past wear-out. Writes(i) is
-//     their difference.
+//     their difference. The sim's swap-leveled loop settles its user
+//     writes into Left in arrears: before every wear-out test and every
+//     other write to the line, and when the loop returns.
 //   - Total is the sum of all Writes(i) once a run's loop has returned.
 //     The batched sim loops do not store it per write: they count user
 //     writes in a local and the caller adds that count when the loop

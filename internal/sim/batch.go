@@ -12,11 +12,17 @@
 // specialized inner loop: generalEpoch, checkedEpoch (unleveled, and
 // leveled under Identity), pcdEpoch, swapEpoch or levelerEpoch. Each
 // returns the user writes it served, and the driver adds them once per
-// epoch. Every write of the batched loops decrements its line's remaining
-// budget (device.Core.Left) and tests the sign of the result inline; no
-// epoch skips that check. A spent budget (<= 0) takes the rare path,
-// engine.wearOut, which also filters lines already worn, so the loops
-// read no slice of the core but Left.
+// epoch. Every write of checkedEpoch, pcdEpoch and levelerEpoch
+// decrements its line's remaining budget (device.Core.Left) and tests the
+// sign of the result inline; no epoch skips that check. A spent budget
+// (<= 0) takes the rare path, engine.wearOut, which also filters lines
+// already worn, so those loops read no slice of the core but Left.
+// swapEpoch instead decrements one countdown per logical address, the
+// lesser of its leveler credit and its line's budget (swapCountdown), and
+// settles both only at events: a spent countdown, a relocation that
+// writes the address's line, and the route's return. Left is therefore
+// exact at every wear-out test and when RunDetailed returns, not after
+// every write.
 //
 // Exactness contract: every loop in this file must produce bit-identical
 // Results to the per-write reference engine (see crossval_test.go). The
@@ -34,6 +40,8 @@
 package sim
 
 import (
+	"math"
+
 	"maxwe/internal/attack"
 	"maxwe/internal/device"
 	"maxwe/internal/spare"
@@ -184,10 +192,10 @@ func (m *cachedMover) WriteSlot(u int) bool {
 // runBatchedLeveled is the leveled, fault-free SoA loop. Addresses are
 // batched; translation and remap scheduling stay per-write (they are
 // stateful), but the two hottest leveler families are devirtualized: the
-// randomized swap schemes run swapEpoch on wearlevel.SwapWL's shared
-// perm/credit state with only the rare relocation paying a call, and
-// Identity runs checkedEpoch with no translation at all. Every other
-// leveler runs levelerEpoch through the interface calls.
+// randomized swap schemes run swapEpoch on a swapCountdown over
+// wearlevel.SwapWL's shared perm/credit state, with only the rare events
+// paying a call, and Identity runs checkedEpoch with no translation at
+// all. Every other leveler runs levelerEpoch through the interface calls.
 func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	core := dev.Core()
 	left := core.Left
@@ -196,49 +204,161 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 	slotLine := newSlotLine(e.scheme, e.scheme.UserLines())
 	mov := &cachedMover{e: e, core: core, slotLine: slotLine}
 	batch := make([]int, epochSize)
-	swap, _ := lev.(*wearlevel.SwapWL)
-	var perm, credit []int
-	if swap != nil {
-		perm, credit = swap.HotState()
+	var sc *swapCountdown
+	if swap, ok := lev.(*wearlevel.SwapWL); ok {
+		sc = newSwapCountdown(e, swap, mov, left)
 	}
 	_, ident := lev.(*wearlevel.Identity)
-	return runEpochs(cfg, func(size int) (int, bool) {
+	userWrites, interrupted = runEpochs(cfg, func(size int) (int, bool) {
 		b := batch[:size]
 		att.NextBatch(logicalLines, b)
 		switch {
-		case swap != nil:
-			return swapEpoch(e, b, swap, perm, credit, mov, slotLine, left)
+		case sc != nil:
+			return swapEpoch(sc, b)
 		case ident:
 			return checkedEpoch(e, b, slotLine, left)
 		default:
 			return levelerEpoch(e, b, lev, mov, slotLine, left)
 		}
 	})
+	if sc != nil {
+		sc.settleAll()
+	}
+	return userWrites, interrupted
+}
+
+// swapCountdown is swapEpoch's state under a wearlevel.SwapWL. A write to
+// logical address lla has only two effects that matter before the route
+// ends: it spends one unit of lla's credit and one unit of its line's
+// budget (Left), and it triggers an event when either runs out. So each
+// address gets one countdown, cd = min(credit, Left), clamped to at least
+// 1 so that a line written past wear-out takes the event path on every
+// write, and a write is one decrement of cd. Only when cd reaches zero are
+// the writes taken since the grant settled into credit and Left, and the
+// events run. credit and Left are therefore exact at every event and once
+// the route returns (settleAll), not after every write.
+//
+// A line belongs to at most one address at a time (perm and the slot→line
+// binding are both one to one), so no other write reaches a line with
+// pending writes except a relocation's movement write, which settles the
+// line's address first.
+type swapCountdown struct {
+	e                 *engine
+	swap              *wearlevel.SwapWL
+	perm, inv, credit []int
+	mov               *cachedMover
+	slotLine          []int32
+	left              []int64
+	// cd is each address's countdown and grant the countdown it was last
+	// granted: grant-cd writes are in neither credit nor Left yet.
+	cd, grant []int32
+	// lineOf composes perm and slotLine: the line each address writes. It
+	// changes only at events.
+	lineOf []int32
+}
+
+func newSwapCountdown(e *engine, swap *wearlevel.SwapWL, mov *cachedMover, left []int64) *swapCountdown {
+	perm, inv, credit := swap.HotState()
+	n := len(perm)
+	s := &swapCountdown{e: e, swap: swap, perm: perm, inv: inv, credit: credit, mov: mov,
+		slotLine: mov.slotLine, left: left,
+		cd: make([]int32, n), grant: make([]int32, n), lineOf: make([]int32, n)}
+	for lla, u := range perm {
+		s.lineOf[lla] = s.slotLine[u]
+		s.regrant(lla)
+	}
+	return s
 }
 
 // swapEpoch writes the logical addresses of b under a wearlevel.SwapWL:
-// translation through perm, and a credit decrement that calls Relocate
-// when it runs out.
-func swapEpoch(e *engine, b []int, swap *wearlevel.SwapWL, perm, credit []int, mov *cachedMover,
-	slotLine []int32, left []int64) (consumed int, ok bool) {
+// one countdown decrement per write, and the event path when it runs out.
+func swapEpoch(s *swapCountdown, b []int) (consumed int, ok bool) {
+	cd := s.cd
 	for i, lla := range b {
-		u := perm[lla]
-		line := slotLine[u]
-		l := left[line] - 1
-		left[line] = l
-		if l <= 0 {
-			if _, ok := e.wearOut(slotLine, u); !ok {
-				return i + 1, false
-			}
-		}
-		credit[lla]--
-		if credit[lla] <= 0 {
-			if !swap.Relocate(lla, mov) {
+		c := cd[lla] - 1
+		cd[lla] = c
+		if c <= 0 {
+			if !s.event(lla) {
 				return i + 1, false
 			}
 		}
 	}
 	return len(b), true
+}
+
+// event runs once lla's countdown reaches zero. It settles the writes lla
+// took, then runs the per-write route's events for the last of them in
+// its order: the wear-out of lla's line, then a relocation if the credit
+// is spent. It ends with a fresh grant.
+func (s *swapCountdown) event(lla int) bool {
+	taken := s.grant[lla]
+	s.grant[lla] = 0
+	line := s.lineOf[lla]
+	l := s.left[line] - int64(taken)
+	s.left[line] = l
+	// The last write spends its credit only once its wear-out succeeded.
+	s.credit[lla] -= int(taken) - 1
+	if l <= 0 {
+		u := s.perm[lla]
+		if _, ok := s.e.wearOut(s.slotLine, u); !ok {
+			return false
+		}
+		s.lineOf[lla] = s.slotLine[u]
+	}
+	s.credit[lla]--
+	if s.credit[lla] <= 0 && !s.relocate(lla) {
+		return false
+	}
+	s.regrant(lla)
+	return true
+}
+
+// relocate is SwapWL.Relocate's three steps with the movement writes
+// through the cached mover: Pick, the writes to dest and to lla's slot,
+// Commit. The address on dest is settled first, so that the movement
+// write's wear-out test sees its line's exact budget, and granted afresh
+// after the commit. Its credit is settled too: Commit overwrites it, but a
+// failed movement write commits nothing and leaves it as the per-write
+// route would.
+func (s *swapCountdown) relocate(lla int) bool {
+	dest := s.swap.Pick()
+	cur := s.perm[lla]
+	if dest == cur {
+		s.swap.Commit(lla, dest)
+		return true
+	}
+	other := s.inv[dest]
+	s.settle(other)
+	if !s.mov.WriteSlot(dest) || !s.mov.WriteSlot(cur) {
+		return false
+	}
+	s.swap.Commit(lla, dest)
+	s.lineOf[lla], s.lineOf[other] = s.slotLine[dest], s.slotLine[cur]
+	s.regrant(other)
+	return true
+}
+
+// regrant gives lla the countdown to its next event.
+func (s *swapCountdown) regrant(lla int) {
+	g := max(min(int64(s.credit[lla]), s.left[s.lineOf[lla]], math.MaxInt32), 1)
+	s.cd[lla], s.grant[lla] = int32(g), int32(g)
+}
+
+// settle moves the writes lla took since its grant into credit and Left.
+func (s *swapCountdown) settle(lla int) {
+	if p := s.grant[lla] - s.cd[lla]; p != 0 {
+		s.credit[lla] -= int(p)
+		s.left[s.lineOf[lla]] -= int64(p)
+		s.grant[lla] = s.cd[lla]
+	}
+}
+
+// settleAll settles every address, so credit and Left are exact when the
+// route returns, whether it failed, hit the cap or was interrupted.
+func (s *swapCountdown) settleAll() {
+	for lla := range s.cd {
+		s.settle(lla)
+	}
 }
 
 // levelerEpoch writes the logical addresses of b under any other leveler,
@@ -266,7 +386,9 @@ func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
 // write leaves its line's budget at or below zero: mark the slot's line
 // worn, run the replacement procedure, and refresh the cached binding. A
 // line that is already worn (written again past wear-out) returns the
-// cache unchanged with ok, so no loop needs the Worn slice. PCD shrinks the user space inside OnWearOut, so the cache is cut to the
+// cache unchanged with ok, so no loop needs the Worn slice.
+//
+// PCD shrinks the user space inside OnWearOut, so the cache is cut to the
 // new capacity and the worn slot is refreshed only if it is still in the
 // space (PCD drops it when it was the last slot); every other scheme
 // keeps its capacity and the cache its length. Returns false on device

@@ -66,11 +66,19 @@ func BenchmarkBatchedDirect(b *testing.B) {
 
 // BenchmarkBatchedLeveled runs the leveled loop (runBatchedLeveled) on a
 // Max-WE cell at the same default scale under attack.DefaultBPA, the
-// Figure 7/8 workload: tlsr and wawl, both randomized swap levelers, so
-// both run swapEpoch, wawl with endurance-weighted dwells. Each reports
-// its cost per simulated user write.
+// Figure 7/8 workload: tlsr, pcm-s, bwl and wawl, the four randomized
+// swap levelers, so all four run swapEpoch; pcm-s jitters its dwells, and
+// bwl and wawl weight them by endurance (wawl its relocation targets
+// too). Each reports its cost per simulated user write.
 func BenchmarkBatchedLeveled(b *testing.B) {
 	p := directCellProfile()
+	metrics := func(sch spare.Scheme) []float64 {
+		ms := make([]float64, sch.UserLines())
+		for u := range ms {
+			ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
+		}
+		return ms
+	}
 	cell := func(name string, leveler func(sch spare.Scheme) wearlevel.Leveler) benchCell {
 		return benchCell{name, func() Config {
 			sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
@@ -81,12 +89,14 @@ func BenchmarkBatchedLeveled(b *testing.B) {
 		cell("tlsr", func(sch spare.Scheme) wearlevel.Leveler {
 			return wearlevel.NewTLSR(sch.UserLines(), 32, xrand.New(3))
 		}),
+		cell("pcm-s", func(sch spare.Scheme) wearlevel.Leveler {
+			return wearlevel.NewPCMS(sch.UserLines(), 32, xrand.New(3))
+		}),
+		cell("bwl", func(sch spare.Scheme) wearlevel.Leveler {
+			return wearlevel.NewBWL(sch.UserLines(), metrics(sch), 32, xrand.New(3))
+		}),
 		cell("wawl", func(sch spare.Scheme) wearlevel.Leveler {
-			ms := make([]float64, sch.UserLines())
-			for u := range ms {
-				ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
-			}
-			return wearlevel.NewWAWL(len(ms), ms, 32, xrand.New(3))
+			return wearlevel.NewWAWL(sch.UserLines(), metrics(sch), 32, xrand.New(3))
 		}),
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"maxwe/internal/attack"
@@ -517,6 +518,105 @@ func TestBatchedWritesPastWearOut(t *testing.T) {
 			}
 			if past == 0 {
 				t.Fatalf("%s: no line was written past wear-out: %+v", name, gotRes)
+			}
+		}
+	}
+}
+
+// closingAttack closes done once it has emitted after addresses, so a
+// run's Done poll fires at the first epoch start after that write on the
+// batched and the per-write route alike.
+type closingAttack struct {
+	attack.BatchAttack
+	done    chan struct{}
+	after   int
+	emitted int
+}
+
+func (a *closingAttack) count(k int) {
+	if a.emitted < a.after && a.emitted+k >= a.after {
+		close(a.done)
+	}
+	a.emitted += k
+}
+
+func (a *closingAttack) Next(n int) int {
+	a.count(1)
+	return a.BatchAttack.Next(n)
+}
+
+func (a *closingAttack) NextBatch(n int, dst []int) {
+	a.count(len(dst))
+	a.BatchAttack.NextBatch(n, dst)
+}
+
+// TestSwapCountdownSettles pins swapEpoch's lazy accounting: each logical
+// address's writes reach its credit and its line's budget only at events
+// and when the route returns, so every way a run can end — the cap at
+// and around the remap period ψ and the epoch boundaries, Done after one
+// to three epochs, and device failure — must leave the device's per-line
+// Writes, Worn and Left and the leveler's perm, credit and Swaps exactly
+// where the per-write route leaves them, Result included.
+func TestSwapCountdownSettles(t *testing.T) {
+	const psi = 16 // buildLeveler's remap period
+	p := optimProfile()
+	type ending struct {
+		cap    int64
+		epochs int
+	}
+	var endings []ending
+	for _, c := range []int64{0, 1, psi - 1, psi, psi + 1, 1023, 1025, 3*1024 + 7} {
+		endings = append(endings, ending{cap: c})
+	}
+	for epochs := 1; epochs <= 3; epochs++ {
+		endings = append(endings, ending{epochs: epochs})
+	}
+	for _, lk := range []string{"tlsr", "pcm-s", "bwl", "wawl"} {
+		for _, ak := range []string{"bpa", "random", "hotcold"} {
+			for _, end := range endings {
+				name := fmt.Sprintf("%s/%s cap=%d epochs=%d", lk, ak, end.cap, end.epochs)
+				run := func(perWrite bool) (Result, *device.Device, *wearlevel.SwapWL) {
+					cfg := buildCrossval(p, ak, "maxwe", lk, end.cap)
+					if end.epochs > 0 {
+						done := make(chan struct{})
+						cfg.Done = done
+						cfg.Attack = &closingAttack{BatchAttack: cfg.Attack.(attack.BatchAttack),
+							done: done, after: end.epochs * epochSize}
+					}
+					if perWrite {
+						cfg.Attack = plainAttack{inner: cfg.Attack}
+					}
+					res, dev, err := RunDetailed(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return res, dev, cfg.Leveler.(*wearlevel.SwapWL)
+				}
+				gotRes, gotDev, gotLev := run(false)
+				wantRes, wantDev, wantLev := run(true)
+				if gotRes != wantRes {
+					t.Fatalf("%s: batched %+v != per-write %+v", name, gotRes, wantRes)
+				}
+				if end.epochs > 0 && !gotRes.Failed && gotRes.UserWrites != int64(end.epochs*epochSize) {
+					t.Fatalf("%s: interrupted after %d writes", name, gotRes.UserWrites)
+				}
+				checkCoreInvariants(t, name, gotDev)
+				got, want := gotDev.Core(), wantDev.Core()
+				for line := range got.Left {
+					if got.Left[line] != want.Left[line] || got.Worn[line] != want.Worn[line] {
+						t.Fatalf("%s: line %d diverged: Left %d/%v vs %d/%v", name, line,
+							got.Left[line], got.Worn[line], want.Left[line], want.Worn[line])
+					}
+				}
+				gotPerm, _, gotCredit := gotLev.HotState()
+				wantPerm, _, wantCredit := wantLev.HotState()
+				if !slices.Equal(gotPerm, wantPerm) || !slices.Equal(gotCredit, wantCredit) {
+					t.Fatalf("%s: leveler diverged: perm %v/%v credit %v/%v",
+						name, gotPerm, wantPerm, gotCredit, wantCredit)
+				}
+				if gotLev.Swaps() != wantLev.Swaps() {
+					t.Fatalf("%s: swaps %d vs %d", name, gotLev.Swaps(), wantLev.Swaps())
+				}
 			}
 		}
 	}

@@ -396,20 +396,23 @@ func (l *SwapWL) dwell(slot int) int {
 	return int(d)
 }
 
-func (l *SwapWL) pick() int {
+// Pick draws the destination slot of a relocation: the first of
+// Relocate's three steps, exposed with Commit so the sim fast path can
+// issue the movement writes itself.
+func (l *SwapWL) Pick() int {
 	if l.chooser != nil {
 		return l.chooser.Draw(l.src)
 	}
 	return l.src.Intn(len(l.perm))
 }
 
-// HotState exposes the live logical→slot permutation and per-line write
-// credits for the devirtualized sim fast path (internal/sim): the hot
-// loop reads perm for translation and decrements credit in place, calling
-// Relocate only when a credit reaches zero — exactly OnWrite's split. The
-// returned slices alias the leveler's state and stay valid across
-// Relocate calls (relocations mutate entries, never reallocate).
-func (l *SwapWL) HotState() (perm []int, credit []int) { return l.perm, l.credit }
+// HotState exposes the live logical→slot permutation, its slot→logical
+// inverse and the per-line write credits for the devirtualized sim fast
+// path (internal/sim), which keeps its own countdown of each line's
+// credit and settles it into credit before it calls Pick. The returned
+// slices alias the leveler's state and stay valid across relocations
+// (they mutate entries, never reallocate).
+func (l *SwapWL) HotState() (perm, inv, credit []int) { return l.perm, l.inv, l.credit }
 
 // OnWrite implements Leveler: decrement the line's dwell credit and
 // relocate once it is exhausted.
@@ -422,33 +425,40 @@ func (l *SwapWL) OnWrite(lla int, mov Mover) bool {
 }
 
 // Relocate performs the relocation slow path for a line whose credit is
-// exhausted (credit[lla] <= 0 after the caller's decrement): pick a
-// destination, swap placements at two data-movement writes, and grant
-// fresh dwell credits. Exposed so the sim fast path can inline the credit
-// decrement and pay the policy cost only on the rare exhaustion.
+// exhausted (credit[lla] <= 0 after the caller's decrement) in three
+// steps: Pick a destination, swap placements at two data-movement writes
+// through mov (destination first), and Commit the swap with fresh dwell
+// credits. A failed movement write commits nothing. A caller that issues
+// the movement writes itself runs the same three steps.
 func (l *SwapWL) Relocate(lla int, mov Mover) bool {
-	dest := l.pick()
+	dest := l.Pick()
+	if cur := l.perm[lla]; dest != cur {
+		// Each move is one device write (Figure 2: a swap adds two extra
+		// writes).
+		if !mov.WriteSlot(dest) || !mov.WriteSlot(cur) {
+			return false
+		}
+	}
+	l.Commit(lla, dest)
+	return true
+}
+
+// Commit is Relocate's last step, once both movement writes succeeded:
+// swap lla with the line on dest and grant both fresh dwells, lla's
+// first. Relocating to the current slot moves no data and only grants a
+// fresh dwell.
+func (l *SwapWL) Commit(lla, dest int) {
 	cur := l.perm[lla]
 	if dest == cur {
-		// Relocating to itself: no data movement, just a fresh dwell.
 		l.credit[lla] = l.dwell(cur)
-		return true
+		return
 	}
 	other := l.inv[dest]
-	// Swap the two lines' placements; each move is one device write
-	// (Figure 2: a swap adds two extra writes).
-	if !mov.WriteSlot(dest) {
-		return false
-	}
-	if !mov.WriteSlot(cur) {
-		return false
-	}
 	l.perm[lla], l.perm[other] = dest, cur
 	l.inv[dest], l.inv[cur] = lla, other
 	l.credit[lla] = l.dwell(dest)
 	l.credit[other] = l.dwell(cur)
 	l.swaps++
-	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 package wearlevel
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"maxwe/internal/xrand"
 )
 
-// recordingMover counts data-movement writes and can simulate failure.
+// recordingMover counts data-movement writes and can simulate failure:
+// fail fails every write, failAt > 0 its failAt-th write (1-based) and
+// every later one.
 type recordingMover struct {
 	writes []int
 	fail   bool
+	failAt int
 }
 
 func (m *recordingMover) WriteSlot(u int) bool {
-	if m.fail {
+	if m.fail || (m.failAt > 0 && len(m.writes)+1 >= m.failAt) {
 		return false
 	}
 	m.writes = append(m.writes, u)
@@ -251,7 +256,7 @@ func TestWAWLBiasedPick(t *testing.T) {
 	// Empirically, picks must favor high-metric slots.
 	var lowHalf, highHalf int
 	for i := 0; i < 10000; i++ {
-		if l.pick() < 8 {
+		if l.Pick() < 8 {
 			lowHalf++
 		} else {
 			highHalf++
@@ -438,54 +443,93 @@ func BenchmarkStartGapTranslate(b *testing.B) {
 	}
 }
 
-// The HotState + Relocate split must be observationally identical to
+// The HotState + Pick/Commit split must be observationally identical to
 // OnWrite: two identically-seeded levelers, one driven through OnWrite
-// and one through the inlined fast path the sim engine uses, must issue
-// the same mover writes and end in the same placement/credit state.
+// and one through the fast path the sim engine uses, must issue the same
+// mover writes and end in the same placement/credit state. The fast path
+// keeps a countdown per line and settles it into credit only at its
+// events, as the sim does: its own spent countdown, and the line on a
+// relocation's destination before the movement writes. With a mover that
+// fails its k-th write, both paths must stop at the same user write with
+// the same state once every countdown is settled.
 func TestHotStateRelocateMatchesOnWrite(t *testing.T) {
+	const slots = 24
 	for _, mk := range []func(seed uint64) *SwapWL{
-		func(s uint64) *SwapWL { return NewTLSR(24, 6, xrand.New(s)) },
-		func(s uint64) *SwapWL { return NewPCMS(24, 6, xrand.New(s)) },
-		func(s uint64) *SwapWL { return NewBWL(24, gradedMetrics(24), 6, xrand.New(s)) },
-		func(s uint64) *SwapWL { return NewWAWL(24, gradedMetrics(24), 6, xrand.New(s)) },
+		func(s uint64) *SwapWL { return NewTLSR(slots, 6, xrand.New(s)) },
+		func(s uint64) *SwapWL { return NewPCMS(slots, 6, xrand.New(s)) },
+		func(s uint64) *SwapWL { return NewBWL(slots, gradedMetrics(slots), 6, xrand.New(s)) },
+		func(s uint64) *SwapWL { return NewWAWL(slots, gradedMetrics(slots), 6, xrand.New(s)) },
 	} {
-		ref, fast := mk(7), mk(7)
-		perm, credit := fast.HotState()
-		refMov, fastMov := &recordingMover{}, &recordingMover{}
-		addrs := xrand.New(8)
-		for step := 0; step < 5000; step++ {
-			lla := addrs.Intn(24)
-			if ref.Translate(lla) != perm[lla] {
-				t.Fatalf("%s: step %d: HotState perm diverged from Translate", ref.Name(), step)
+		for _, k := range []int{0, 1, 2, 3, 50, 51} {
+			ref, fast := mk(7), mk(7)
+			name := fmt.Sprintf("%s/k=%d", ref.Name(), k)
+			perm, inv, credit := fast.HotState()
+			cd, grant := make([]int, slots), make([]int, slots)
+			regrant := func(lla int) { cd[lla], grant[lla] = credit[lla], credit[lla] }
+			settle := func(lla int) {
+				credit[lla] -= grant[lla] - cd[lla]
+				grant[lla] = cd[lla]
 			}
-			if !ref.OnWrite(lla, refMov) {
-				t.Fatalf("%s: reference OnWrite failed", ref.Name())
+			for lla := range cd {
+				regrant(lla)
 			}
-			// The sim fast path: inline decrement, Relocate on exhaustion.
-			credit[lla]--
-			if credit[lla] <= 0 {
-				if !fast.Relocate(lla, fastMov) {
-					t.Fatalf("%s: Relocate failed", fast.Name())
+			// fastWrite is the sim's per-write step: one decrement, and
+			// settlement, Pick, movement writes and Commit on the event.
+			fastWrite := func(lla int, mov Mover) bool {
+				if cd[lla]--; cd[lla] > 0 {
+					return true
+				}
+				settle(lla)
+				if credit[lla] > 0 {
+					regrant(lla)
+					return true
+				}
+				dest := fast.Pick()
+				if cur := perm[lla]; dest != cur {
+					other := inv[dest]
+					settle(other)
+					if !mov.WriteSlot(dest) || !mov.WriteSlot(cur) {
+						return false
+					}
+					fast.Commit(lla, dest)
+					regrant(other)
+				} else {
+					fast.Commit(lla, dest)
+				}
+				regrant(lla)
+				return true
+			}
+			refMov, fastMov := &recordingMover{failAt: k}, &recordingMover{failAt: k}
+			addrs := xrand.New(8)
+			refStop, fastStop := -1, -1
+			for step := 0; step < 5000 && refStop < 0 && fastStop < 0; step++ {
+				lla := addrs.Intn(slots)
+				if ref.Translate(lla) != perm[lla] {
+					t.Fatalf("%s: step %d: HotState perm diverged from Translate", name, step)
+				}
+				if !ref.OnWrite(lla, refMov) {
+					refStop = step
+				}
+				if !fastWrite(lla, fastMov) {
+					fastStop = step
 				}
 			}
-		}
-		if len(refMov.writes) != len(fastMov.writes) {
-			t.Fatalf("%s: mover write counts diverged: %d vs %d",
-				ref.Name(), len(refMov.writes), len(fastMov.writes))
-		}
-		for i := range refMov.writes {
-			if refMov.writes[i] != fastMov.writes[i] {
-				t.Fatalf("%s: mover write %d diverged: %d vs %d",
-					ref.Name(), i, refMov.writes[i], fastMov.writes[i])
+			if refStop != fastStop || (k > 0) != (refStop >= 0) {
+				t.Fatalf("%s: stopped at write %d on OnWrite, %d on the fast path", name, refStop, fastStop)
 			}
-		}
-		for lla := 0; lla < 24; lla++ {
-			if ref.perm[lla] != perm[lla] || ref.credit[lla] != credit[lla] {
-				t.Fatalf("%s: final state diverged at line %d", ref.Name(), lla)
+			for lla := range cd {
+				settle(lla)
 			}
-		}
-		if ref.Swaps() != fast.Swaps() {
-			t.Fatalf("%s: swap counts diverged: %d vs %d", ref.Name(), ref.Swaps(), fast.Swaps())
+			if !slices.Equal(refMov.writes, fastMov.writes) {
+				t.Fatalf("%s: mover writes diverged: %v vs %v", name, refMov.writes, fastMov.writes)
+			}
+			if !slices.Equal(ref.perm, perm) || !slices.Equal(ref.inv, inv) || !slices.Equal(ref.credit, credit) {
+				t.Fatalf("%s: final state diverged: perm %v/%v credit %v/%v",
+					name, ref.perm, perm, ref.credit, credit)
+			}
+			if ref.Swaps() != fast.Swaps() {
+				t.Fatalf("%s: swap counts diverged: %d vs %d", name, ref.Swaps(), fast.Swaps())
+			}
 		}
 	}
 }
