@@ -3,7 +3,7 @@ GO ?= go
 # BENCH_OUT names the JSON file `make bench` writes.
 BENCH_OUT ?= bench.json
 
-.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify faults fuzz-smoke bench bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
+.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify reproduce faults fuzz-smoke bench bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,11 @@ lint-json:
 # change; commit it only deliberately.
 lint-schema:
 	$(GO) run ./cmd/maxwelint -write-schema
+
+# reproduce is the reproduction gate: cmd/verify re-derives the paper's
+# anchor numbers and orderings and exits non-zero if any check fails.
+reproduce:
+	$(GO) run ./cmd/verify
 
 # faults smoke-tests the fault-injection layer and the resilient runner
 # under the race detector: the fault/runner/cell test surface plus a short
@@ -118,4 +123,4 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # verify is the tier-1 gate: everything CI runs, one command.
-verify: build vet test race race-concurrent lint faults fuzz-smoke bench-smoke chaos-smoke serve-smoke cluster-smoke
+verify: build vet test race race-concurrent lint reproduce faults fuzz-smoke bench-smoke chaos-smoke serve-smoke cluster-smoke

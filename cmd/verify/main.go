@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"maxwe/internal/analytic"
+	"maxwe/internal/artifacts"
 	"maxwe/internal/attack"
 	"maxwe/internal/detect"
 	"maxwe/internal/ecp"
@@ -30,10 +31,7 @@ type check struct {
 }
 
 func main() {
-	s := experiments.DefaultSetup()
-	s.Regions = 256
-	s.LinesPerRegion = 16
-	s.MeanEndurance = 1000
+	s := artifacts.BenchSetup()
 
 	checks := []check{
 		{"Eq 5: analytic UAA ratio at q=50 is 3.9%", func() (string, bool) {
