@@ -80,7 +80,7 @@ fuzz-smoke:
 # the same log so one conversion sees both. Separate steps so a bench
 # failure stops make instead of vanishing into a pipe.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect|BatchedLeveled|PerWriteRoute|DeviceWrite|MaxWEAccess|HybridTranslate)' -benchmem \
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAALifetime|Service|Federated|WeightedChooserDraw|ZipfDraw|SwapWLRelocate|BPANextBatch|UAANextBatch|BatchedDirect|BatchedLeveled|PerWriteRoute|DeviceWrite|SchemeAccess|HybridTranslate)' -benchmem \
 		. ./internal/sim/ ./internal/service/ ./internal/runner/ ./internal/xrand/ ./internal/wearlevel/ ./internal/attack/ \
 		./internal/device/ ./internal/spare/ ./internal/mapping/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out

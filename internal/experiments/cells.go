@@ -188,8 +188,8 @@ func Fig8FromResults(results map[string]Fig8Row) ([]Fig8Row, map[string]float64)
 	return rows, gmeans
 }
 
-// Fig7Table renders Figure 7's rows as the table cmd/figures, the nvmd
-// results and the benches print.
+// Fig7Table renders Figure 7's rows as one table, the one internal/artifacts
+// builds for cmd/figures and the nvmd fig7 jobs return.
 func Fig7Table(rows []Fig7Row) *report.Table {
 	t := report.NewTable("Figure 7 — normalized lifetime under BPA vs SWR percentage",
 		"wear leveling", "swr %", "normalized lifetime")

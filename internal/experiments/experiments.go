@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section 5) on the scaled simulator. It is the single source
-// of truth shared by the bench harness (bench_test.go) and the
-// cmd/figures driver, so the benches and the CLI print identical rows.
+// evaluation (Section 5) on the scaled simulator: the rows that
+// internal/artifacts renders into every table and figure (for cmd/figures,
+// cmd/verify and the root benches) and that nvmd jobs return.
 //
 // All experiments are deterministic for a given Setup (seed included) and
 // report the paper's metric: normalized lifetime = user writes served
@@ -164,15 +164,8 @@ func NewLeveler(name string, sch spare.Scheme, p *endurance.Profile, psi int, sr
 
 // newLeveler is NewLeveler returning the construction error.
 func newLeveler(name string, sch spare.Scheme, p *endurance.Profile, psi int, src *xrand.Source) (wearlevel.Leveler, error) {
-	slots := sch.UserLines()
-	metrics := func() []float64 {
-		ms := make([]float64, slots)
-		for u := range ms {
-			ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
-		}
-		return ms
-	}
-	return wearlevel.New(name, slots, metrics, psi, src)
+	metrics := func() []float64 { return spare.SlotMetrics(sch, p) }
+	return wearlevel.New(name, sch.UserLines(), metrics, psi, src)
 }
 
 // runUAA runs the uniform address attack (no wear leveling, per the

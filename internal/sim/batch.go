@@ -1,8 +1,8 @@
 // batch.go is the struct-of-arrays batched write engine. Instead of one
 // interface-call chain per write (attack → leveler → scheme → device),
 // the loops here pull address batches from attack.BatchAttack, translate
-// them through a cached slot→line binding, and index the device.Core
-// slices directly.
+// them through the scheme's live slot→line table (spare.Scheme.Bindings),
+// and index the device.Core slices directly.
 //
 // RunDetailed has one epoch driver, runEpochs, and three routes: the
 // per-write route (generalEpoch driving a Stepper, stepper.go) and the two
@@ -26,11 +26,13 @@
 //
 // Exactness contract: every loop in this file must produce bit-identical
 // Results to the per-write reference engine (see crossval_test.go). The
-// load-bearing invariants are documented on spare.Scheme.Access (bindings
-// are pure lookups that change only inside OnWearOut, and only for the
-// worn slot) and attack.BatchAttack (NextBatch ≡ repeated Next). Fault
-// configurations break the binding invariant via metadata corruption and
-// never enter these loops.
+// load-bearing invariants are documented on spare.Scheme.Bindings (the
+// loops hold the scheme's own table, which changes only inside OnWearOut
+// and only for the worn slot, so they keep no copy; PCD's shrink is the
+// one change of length, after which pcdEpoch fetches the table again)
+// and attack.BatchAttack (NextBatch ≡ repeated Next). Fault plans draw an
+// outcome for every physical write, which only the per-write route does,
+// so fault configurations never enter these loops.
 //
 // The loops leave device.Core.Total short by exactly the user writes they
 // return: a load and store through the core on every write cost more than
@@ -53,17 +55,6 @@ import (
 // user writes, on exactly the user-write indexes where the in-test
 // per-write reference engine polls it.
 const epochSize = 1024
-
-// newSlotLine snapshots scheme.Access for every user slot into a flat
-// reverse map. Valid until the next OnWearOut, which rebinds only the
-// worn slot — the caller refreshes that single entry.
-func newSlotLine(scheme spare.Scheme, userLines int) []int32 {
-	sl := make([]int32, userLines)
-	for u := 0; u < userLines; u++ {
-		sl[u] = int32(scheme.Access(u))
-	}
-	return sl
-}
 
 // runEpochs is the epoch driver of every route. It stops at the
 // MaxUserWrites cap, polls Config.Done at every epoch start and hands
@@ -103,8 +94,9 @@ func runEpochs(cfg Config, epoch func(size int) (consumed int, ok bool)) (userWr
 // runs checkedEpoch, which replicates Device.Write inline. PCD shrinks the
 // user space inside OnWearOut, so its epochs run pcdEpoch, which draws
 // each address with Next at the current capacity instead of one NextBatch
-// at the epoch's starting size. slotLine always spans exactly the current
-// user space.
+// at the epoch's starting size; slotLine, the scheme's table, is fetched
+// again after every PCD wear-out so it spans exactly the current user
+// space.
 func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	scheme := e.scheme
 	if scheme.UserLines() == 0 {
@@ -115,7 +107,7 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 	// of the budget slice's header instead of reloading it through the core.
 	left := dev.Core().Left
 	_, pcd := scheme.(*spare.PCDScheme)
-	slotLine := newSlotLine(scheme, scheme.UserLines())
+	slotLine := scheme.Bindings()
 	batch := make([]int, epochSize)
 	return runEpochs(cfg, func(size int) (consumed int, ok bool) {
 		if pcd {
@@ -131,14 +123,14 @@ func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.Batc
 // checkedEpoch writes the slots of b with the budget check inline: the
 // unleveled loop of every scheme but PCD, and the leveled loop under
 // Identity, whose slots are the logical addresses. The capacity is fixed,
-// so wearOut's cache stays the same length.
+// so slotLine keeps its length across wear-outs.
 func checkedEpoch(e *engine, b []int, slotLine []int32, left []int64) (consumed int, ok bool) {
 	for i, u := range b {
 		line := slotLine[u]
 		l := left[line] - 1
 		left[line] = l
 		if l <= 0 {
-			if _, ok := e.wearOut(slotLine, u); !ok {
+			if !e.wearOut(line, u) {
 				return i + 1, false
 			}
 		}
@@ -148,7 +140,8 @@ func checkedEpoch(e *engine, b []int, slotLine []int32, left []int64) (consumed 
 
 // pcdEpoch is checkedEpoch for PCD's shrinking user space: size writes,
 // each address drawn with Next at the capacity current when it is drawn.
-// It returns the slot→line cache cut to the capacity the epoch ends with.
+// Each wear-out shrinks the scheme's table, so it is fetched again; the
+// epoch returns the table it ends with.
 func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, left []int64) (consumed int, _ []int32, ok bool) {
 	for i := 0; i < size; i++ {
 		u := att.Next(len(slotLine))
@@ -156,7 +149,9 @@ func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, left []i
 		l := left[line] - 1
 		left[line] = l
 		if l <= 0 {
-			if slotLine, ok = e.wearOut(slotLine, u); !ok {
+			ok = e.wearOut(line, u)
+			slotLine = e.scheme.Bindings()
+			if !ok {
 				return i + 1, slotLine, false
 			}
 		}
@@ -164,27 +159,26 @@ func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, left []i
 	return size, slotLine, true
 }
 
-// cachedMover routes wear-leveling movement writes through the SoA core
-// while keeping the batched loop's slot→line cache coherent across the
-// replacements those writes can trigger. It is the batched twin of
+// boundMover routes wear-leveling movement writes through the SoA core,
+// resolving slots through the scheme's table, which the replacements those
+// writes can trigger update in place. It is the batched twin of
 // engine.WriteSlot.
-type cachedMover struct {
+type boundMover struct {
 	e        *engine
 	core     *device.Core
 	slotLine []int32
 }
 
-var _ wearlevel.Mover = (*cachedMover)(nil)
+var _ wearlevel.Mover = (*boundMover)(nil)
 
-// WriteSlot implements wearlevel.Mover with the cached binding.
-func (m *cachedMover) WriteSlot(u int) bool {
+// WriteSlot implements wearlevel.Mover through the scheme's table.
+func (m *boundMover) WriteSlot(u int) bool {
 	if m.core.Write(int(m.slotLine[u])) {
 		m.e.rebinds++
 		if !m.e.scheme.OnWearOut(u) {
 			m.e.failed = true
 			return false
 		}
-		m.slotLine[u] = int32(m.e.scheme.Access(u))
 	}
 	return true
 }
@@ -201,8 +195,8 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 	left := core.Left
 	lev := cfg.Leveler
 	logicalLines := lev.LogicalLines()
-	slotLine := newSlotLine(e.scheme, e.scheme.UserLines())
-	mov := &cachedMover{e: e, core: core, slotLine: slotLine}
+	slotLine := e.scheme.Bindings()
+	mov := &boundMover{e: e, core: core, slotLine: slotLine}
 	batch := make([]int, epochSize)
 	var sc *swapCountdown
 	if swap, ok := lev.(*wearlevel.SwapWL); ok {
@@ -246,7 +240,7 @@ type swapCountdown struct {
 	e                 *engine
 	swap              *wearlevel.SwapWL
 	perm, inv, credit []int
-	mov               *cachedMover
+	mov               *boundMover
 	slotLine          []int32
 	left              []int64
 	// cd is each address's countdown and grant the countdown it was last
@@ -257,7 +251,7 @@ type swapCountdown struct {
 	lineOf []int32
 }
 
-func newSwapCountdown(e *engine, swap *wearlevel.SwapWL, mov *cachedMover, left []int64) *swapCountdown {
+func newSwapCountdown(e *engine, swap *wearlevel.SwapWL, mov *boundMover, left []int64) *swapCountdown {
 	perm, inv, credit := swap.HotState()
 	n := len(perm)
 	s := &swapCountdown{e: e, swap: swap, perm: perm, inv: inv, credit: credit, mov: mov,
@@ -300,7 +294,7 @@ func (s *swapCountdown) event(lla int) bool {
 	s.credit[lla] -= int(taken) - 1
 	if l <= 0 {
 		u := s.perm[lla]
-		if _, ok := s.e.wearOut(s.slotLine, u); !ok {
+		if !s.e.wearOut(line, u) {
 			return false
 		}
 		s.lineOf[lla] = s.slotLine[u]
@@ -314,7 +308,7 @@ func (s *swapCountdown) event(lla int) bool {
 }
 
 // relocate is SwapWL.Relocate's three steps with the movement writes
-// through the cached mover: Pick, the writes to dest and to lla's slot,
+// through the bound mover: Pick, the writes to dest and to lla's slot,
 // Commit. The address on dest is settled first, so that the movement
 // write's wear-out test sees its line's exact budget, and granted afresh
 // after the commit. Its credit is settled too: Commit overwrites it, but a
@@ -363,7 +357,7 @@ func (s *swapCountdown) settleAll() {
 
 // levelerEpoch writes the logical addresses of b under any other leveler,
 // through its Translate and OnWrite.
-func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
+func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *boundMover,
 	slotLine []int32, left []int64) (consumed int, ok bool) {
 	for i, lla := range b {
 		u := lev.Translate(lla)
@@ -371,7 +365,7 @@ func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
 		l := left[line] - 1
 		left[line] = l
 		if l <= 0 {
-			if _, ok := e.wearOut(slotLine, u); !ok {
+			if !e.wearOut(line, u) {
 				return i + 1, false
 			}
 		}
@@ -383,32 +377,23 @@ func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *cachedMover,
 }
 
 // wearOut is the rare-path half of the inlined write, called whenever a
-// write leaves its line's budget at or below zero: mark the slot's line
-// worn, run the replacement procedure, and refresh the cached binding. A
-// line that is already worn (written again past wear-out) returns the
-// cache unchanged with ok, so no loop needs the Worn slice.
-//
-// PCD shrinks the user space inside OnWearOut, so the cache is cut to the
-// new capacity and the worn slot is refreshed only if it is still in the
-// space (PCD drops it when it was the last slot); every other scheme
-// keeps its capacity and the cache its length. Returns false on device
-// failure (e.failed is set).
-func (e *engine) wearOut(slotLine []int32, u int) ([]int32, bool) {
+// write leaves the budget of line, slot u's line, at or below zero: mark
+// the line worn and run the replacement procedure, which rebinds u in the
+// scheme's table (under PCD it also shrinks the table, and the caller
+// fetches it again). A line that is already worn (written again past
+// wear-out) returns ok at once, so no loop needs the Worn slice. Returns
+// false on device failure (e.failed is set).
+func (e *engine) wearOut(line int32, u int) bool {
 	core := e.dev.Core()
-	line := slotLine[u]
 	if core.Worn[line] {
-		return slotLine, true
+		return true
 	}
 	core.Worn[line] = true
 	core.WornLines++
 	e.rebinds++
 	if !e.scheme.OnWearOut(u) {
 		e.failed = true
-		return slotLine, false
+		return false
 	}
-	slotLine = slotLine[:e.scheme.UserLines()]
-	if u < len(slotLine) {
-		slotLine[u] = int32(e.scheme.Access(u))
-	}
-	return slotLine, true
+	return true
 }

@@ -72,13 +72,7 @@ func BenchmarkBatchedDirect(b *testing.B) {
 // too). Each reports its cost per simulated user write.
 func BenchmarkBatchedLeveled(b *testing.B) {
 	p := directCellProfile()
-	metrics := func(sch spare.Scheme) []float64 {
-		ms := make([]float64, sch.UserLines())
-		for u := range ms {
-			ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
-		}
-		return ms
-	}
+	metrics := func(sch spare.Scheme) []float64 { return spare.SlotMetrics(sch, p) }
 	cell := func(name string, leveler func(sch spare.Scheme) wearlevel.Leveler) benchCell {
 		return benchCell{name, func() Config {
 			sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())

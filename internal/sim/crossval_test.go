@@ -63,13 +63,7 @@ func buildAttack(kind string, logical int, seed uint64) attack.Attack {
 
 func buildLeveler(kind string, sch spare.Scheme, p *endurance.Profile, seed uint64) wearlevel.Leveler {
 	n := sch.UserLines()
-	metrics := func(slots int) []float64 {
-		ms := make([]float64, slots)
-		for u := range ms {
-			ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
-		}
-		return ms
-	}
+	metrics := func(slots int) []float64 { return spare.SlotMetrics(sch, p)[:slots] }
 	switch kind {
 	case "":
 		return nil
@@ -124,11 +118,13 @@ func TestBatchedEngineFullMatrix(t *testing.T) {
 					continue // PCD's shrinking capacity forbids levelers
 				}
 				name := ak + "/" + sk + "/" + lk
-				got, dev, err := RunDetailed(buildCrossval(p, ak, sk, lk, 0))
+				cfg := buildCrossval(p, ak, sk, lk, 0)
+				got, dev, err := RunDetailed(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkCoreInvariants(t, name, dev)
+				checkBindingsUnworn(t, name, got, cfg.Scheme, dev)
 				want, err := referenceRunDetailed(buildCrossval(p, ak, sk, lk, 0))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -162,11 +158,13 @@ func TestUnleveledCapEdges(t *testing.T) {
 					continue
 				}
 				name := ak + "/" + sk
-				got, dev, err := RunDetailed(buildCrossval(p, ak, sk, "", maxW))
+				cfg := buildCrossval(p, ak, sk, "", maxW)
+				got, dev, err := RunDetailed(cfg)
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, maxW, err)
 				}
 				checkCoreInvariants(t, fmt.Sprintf("%s cap %d", name, maxW), dev)
+				checkBindingsUnworn(t, fmt.Sprintf("%s cap %d", name, maxW), got, cfg.Scheme, dev)
 				want, err := referenceRunDetailed(buildCrossval(p, ak, sk, "", maxW))
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, maxW, err)
@@ -382,6 +380,23 @@ func checkCoreInvariants(t *testing.T, name string, dev *device.Device) {
 	}
 }
 
+// checkBindingsUnworn asserts that a finished run leaves no user slot
+// bound to a worn line, since every wear-out the scheme survives rebinds
+// its slot to a fresh one. Only a failed run may leave one: the slot whose
+// rescue failed.
+func checkBindingsUnworn(t *testing.T, name string, res Result, sch spare.Scheme, dev *device.Device) {
+	t.Helper()
+	worn := 0
+	for _, line := range sch.Bindings() {
+		if dev.Worn(int(line)) {
+			worn++
+		}
+	}
+	if worn > 1 || worn == 1 && !res.Failed {
+		t.Fatalf("%s: %d slots bound to worn lines at the end of %+v", name, worn, res)
+	}
+}
+
 // logicalOf returns the logical space an attack addresses under cfg.
 func logicalOf(cfg Config) int {
 	if cfg.Leveler != nil {
@@ -433,7 +448,7 @@ func TestFig7CellBatchedMatchesReference(t *testing.T) {
 
 // BenchmarkFig7CellBatched measures the refactored engine on the Fig7
 // acceptance cell (routes through runBatchedLeveled with the SwapWL
-// devirtualization and the slot→line cache).
+// devirtualization and the scheme's slot→line table).
 func BenchmarkFig7CellBatched(b *testing.B) {
 	p := fig7CellProfile()
 	b.ResetTimer()
@@ -459,9 +474,8 @@ func BenchmarkFig7CellReference(b *testing.B) {
 
 // absorbScheme keeps every slot on its boot-time line and absorbs its
 // first budget wear-outs without rebinding, so the engine goes on writing
-// lines past wear-out. Bindings never change, so the batched loops' cache
-// stays valid. A worn line's writes spend no budget, so runs over it need
-// a MaxUserWrites cap to end.
+// lines past wear-out. Its slot→line table never changes. A worn line's
+// writes spend no budget, so runs over it need a MaxUserWrites cap to end.
 type absorbScheme struct {
 	*spare.NoneScheme
 	budget int
@@ -575,7 +589,7 @@ func TestSwapCountdownSettles(t *testing.T) {
 		for _, ak := range []string{"bpa", "random", "hotcold"} {
 			for _, end := range endings {
 				name := fmt.Sprintf("%s/%s cap=%d epochs=%d", lk, ak, end.cap, end.epochs)
-				run := func(perWrite bool) (Result, *device.Device, *wearlevel.SwapWL) {
+				run := func(perWrite bool) (Result, *device.Device, *wearlevel.SwapWL, spare.Scheme) {
 					cfg := buildCrossval(p, ak, "maxwe", lk, end.cap)
 					if end.epochs > 0 {
 						done := make(chan struct{})
@@ -590,10 +604,10 @@ func TestSwapCountdownSettles(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					return res, dev, cfg.Leveler.(*wearlevel.SwapWL)
+					return res, dev, cfg.Leveler.(*wearlevel.SwapWL), cfg.Scheme
 				}
-				gotRes, gotDev, gotLev := run(false)
-				wantRes, wantDev, wantLev := run(true)
+				gotRes, gotDev, gotLev, gotSch := run(false)
+				wantRes, wantDev, wantLev, _ := run(true)
 				if gotRes != wantRes {
 					t.Fatalf("%s: batched %+v != per-write %+v", name, gotRes, wantRes)
 				}
@@ -601,6 +615,7 @@ func TestSwapCountdownSettles(t *testing.T) {
 					t.Fatalf("%s: interrupted after %d writes", name, gotRes.UserWrites)
 				}
 				checkCoreInvariants(t, name, gotDev)
+				checkBindingsUnworn(t, name, gotRes, gotSch, gotDev)
 				got, want := gotDev.Core(), wantDev.Core()
 				for line := range got.Left {
 					if got.Left[line] != want.Left[line] || got.Worn[line] != want.Worn[line] {

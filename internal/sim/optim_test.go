@@ -133,11 +133,7 @@ func TestRunDetailedMatchesReferenceExactly(t *testing.T) {
 		case "tlsr":
 			cfg.Leveler = wearlevel.NewTLSR(n, 16, xrand.New(41))
 		case "wawl":
-			metrics := make([]float64, n)
-			for u := range metrics {
-				metrics[u] = p.RegionMetric(p.RegionOf(cfg.Scheme.BaseLine(u)))
-			}
-			cfg.Leveler = wearlevel.NewWAWL(n, metrics, 32, xrand.New(42))
+			cfg.Leveler = wearlevel.NewWAWL(n, spare.SlotMetrics(cfg.Scheme, p), 32, xrand.New(42))
 		default:
 			panic("unknown leveler")
 		}
@@ -169,11 +165,10 @@ func TestRunDetailedMatchesReferenceExactly(t *testing.T) {
 }
 
 // TestPCDLastSlotWearOut pins the PCD edge of the batched loop's
-// slot→line cache: when the slot that wears out is the *last* slot of the
+// slot→line table: when the slot that wears out is the *last* slot of the
 // current user space, PCD's shrink leaves u == UserLines() and no binding
-// moves — the loop must truncate its cache without refreshing the slot
-// (an out-of-range Access would panic, a stale entry would misdirect
-// later writes). The profile below forces that edge twice in a row
+// moves — the loop must draw from the shrunk table it fetches again (an
+// address past it would index a slot no longer in the space). The profile below forces that edge twice in a row
 // (lines 7 then 6 are the weakest, each the last slot of its round),
 // follows with a genuine middle-slot relocation, and ends at the capacity
 // floor.

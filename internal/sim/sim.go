@@ -15,9 +15,12 @@
 // size for three routes: the per-write route, generalEpoch driving a
 // Stepper, for fault plans and attacks without a batch generator; and
 // the batched struct-of-arrays loops of batch.go for the rest, unleveled
-// (runBatchedDirect) or leveled (runBatchedLeveled). Tests cross-validate
-// every route against an in-test copy of the original per-write engine
-// bit for bit.
+// (runBatchedDirect) or leveled (runBatchedLeveled). The per-write route
+// resolves each write's line with spare.Scheme.Access; the batched loops
+// index the scheme's live slot→line table (spare.Scheme.Bindings)
+// directly. Neither keeps a table of its own. Tests cross-validate every
+// route against an in-test copy of the original per-write engine bit for
+// bit.
 package sim
 
 import (
@@ -151,8 +154,8 @@ type engine struct {
 
 	// rebinds counts OnWearOut invocations made through the engine. Loops
 	// that hoist scheme state which is only invalidated by a replacement
-	// (user capacity, slot→line bindings) compare it against a snapshot to
-	// refresh exactly across wear-outs instead of per write.
+	// (the user capacity) compare it against a snapshot to refresh exactly
+	// across wear-outs instead of per write.
 	rebinds int64
 
 	// Fault layer (nil faults = the exact pre-fault write path; see
@@ -217,9 +220,9 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 	ba, batch := cfg.Attack.(attack.BatchAttack)
 	switch {
 	case cfg.Faults.Enabled() || !batch:
-		// Metadata faults can corrupt slot→line bindings behind the
-		// scheme's back, so fault runs stay on the uncached per-write
-		// route, as do attacks that cannot emit a batch.
+		// A fault plan draws an outcome for every physical write, user
+		// and movement traffic alike, which only the per-write route
+		// does; attacks that cannot emit a batch run there too.
 		userWrites, interrupted = runEpochs(cfg, func(size int) (int, bool) {
 			return generalEpoch(s, cfg.Attack, size)
 		})

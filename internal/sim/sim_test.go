@@ -234,11 +234,7 @@ func TestBPAOnMaxWEWithWAWL(t *testing.T) {
 	p := endurance.DefaultModel().Sample(64, 16, xrand.New(11)).
 		ScaleToMean(200).Shuffled(xrand.New(12))
 	scheme := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
-	metrics := make([]float64, scheme.UserLines())
-	for u := range metrics {
-		metrics[u] = p.RegionMetric(p.RegionOf(scheme.BaseLine(u)))
-	}
-	lev := wearlevel.NewWAWL(scheme.UserLines(), metrics, 32, xrand.New(13))
+	lev := wearlevel.NewWAWL(scheme.UserLines(), spare.SlotMetrics(scheme, p), 32, xrand.New(13))
 	res, err := Run(Config{
 		Profile: p, Scheme: scheme, Leveler: lev,
 		Attack: attack.DefaultBPA(xrand.New(14)),

@@ -121,13 +121,13 @@ func (s *Stepper) serve(lla int) bool {
 
 // generalEpoch is the per-write route's epoch for runEpochs: size writes,
 // each address drawn with Next at the logical space current when it is
-// drawn, for fault plans (metadata faults can corrupt the slot→line
-// bindings the batched loops cache) and attacks without NextBatch. An
-// empty space fails the device before a draw. Write's other guards
-// cannot fire here (runEpochs sizes the epoch within the cap, the loop
-// returns at the first failure, and Next draws below n), so each write
-// goes straight to serve: through Write, the BPA/PS-random fault cell of
-// BenchmarkPerWriteRoute measured about a tenth slower per write.
+// drawn, for fault plans (which draw an outcome for every physical
+// write) and attacks without NextBatch. An empty space fails the device
+// before a draw. Write's other guards cannot fire here (runEpochs sizes
+// the epoch within the cap, the loop returns at the first failure, and
+// Next draws below n), so each write goes straight to serve: through
+// Write, the BPA/PS-random fault cell of BenchmarkPerWriteRoute measured
+// about a tenth slower per write.
 func generalEpoch(s *Stepper, att attack.Attack, size int) (consumed int, ok bool) {
 	for i := 0; i < size; i++ {
 		n := s.LogicalLines()

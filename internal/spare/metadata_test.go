@@ -14,6 +14,12 @@ func metadataProfile() *endurance.Profile {
 	return endurance.Linear(32, 8, 10, 500)
 }
 
+// translate resolves slot u through s's mapping tables, as OnWearOut does
+// when it rebinds the slot.
+func translate(s *MaxWEScheme, u int) int {
+	return s.Mapping().Translate(s.BaseLine(u))
+}
+
 func TestMaxWEMetadataCorruptScrubRoundtrip(t *testing.T) {
 	p := metadataProfile().Shuffled(xrand.New(1))
 	s := NewMaxWE(p, DefaultMaxWEOptions())
@@ -23,10 +29,11 @@ func TestMaxWEMetadataCorruptScrubRoundtrip(t *testing.T) {
 		t.Fatalf("clean scrub repaired %d entries", n)
 	}
 
-	// Record the full slot -> line binding before the fault.
+	// Record every slot's translation through the tables before the fault
+	// (Access reads the binding stored at wear-outs, not the tables).
 	before := make([]int, s.UserLines())
 	for u := range before {
-		before[u] = s.Access(u)
+		before[u] = translate(s, u)
 	}
 
 	src := xrand.New(2)
@@ -34,14 +41,21 @@ func TestMaxWEMetadataCorruptScrubRoundtrip(t *testing.T) {
 		if !s.CorruptMetadata(src) {
 			t.Fatalf("round %d: Max-WE has metadata but Corrupt found none", round)
 		}
+		// The binding was resolved at boot; damage in the tables does not
+		// reach it.
+		for u, want := range before {
+			if got := s.Access(u); got != want {
+				t.Fatalf("round %d: corrupt tables moved slot %d to line %d, want %d", round, u, got, want)
+			}
+		}
 		if n := s.ScrubMetadata(); n != 1 {
 			t.Fatalf("round %d: scrub repaired %d entries, want 1", round, n)
 		}
 	}
 
-	// Every binding is restored: the corrupt/scrub cycle is lossless.
+	// Every translation is restored: the corrupt/scrub cycle is lossless.
 	for u, want := range before {
-		if got := s.Access(u); got != want {
+		if got := translate(s, u); got != want {
 			t.Fatalf("slot %d resolves to line %d after scrub, want %d", u, got, want)
 		}
 	}
@@ -57,7 +71,7 @@ func TestMaxWEMetadataCorruptIsDeterministic(t *testing.T) {
 		a.CorruptMetadata(srcA)
 		b.CorruptMetadata(srcB)
 		for u := 0; u < a.UserLines(); u++ {
-			if a.Access(u) != b.Access(u) {
+			if translate(a, u) != translate(b, u) {
 				t.Fatalf("round %d: corruption diverged at slot %d", round, u)
 			}
 		}

@@ -13,13 +13,16 @@
 //   - None — no protection; the first wear-out kills the device.
 //
 // A Scheme owns the binding from user-visible physical slots to device
-// lines. The simulator (internal/sim) asks Access for the current backing
-// line of a slot and calls OnWearOut when that line's budget is exhausted;
-// the scheme rebinds the slot to a spare or declares the device dead.
+// lines: one live slot→line table per scheme (Bindings), updated in place
+// only inside OnWearOut when a slot's line wears out. The simulator
+// (internal/sim) indexes that table on every write — its batched loops
+// hold the slice itself, its per-write route calls Access — and calls
+// OnWearOut when a line's budget is exhausted; the scheme rebinds the
+// slot to a spare or declares the device dead.
 package spare
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"maxwe/internal/endurance"
@@ -56,18 +59,19 @@ type Scheme interface {
 	// constant for every scheme except PCD, whose capacity shrinks.
 	UserLines() int
 	// Access returns the device line currently backing user slot
-	// u in [0, UserLines()). Access is a pure lookup: it never mutates
-	// scheme state. Slot→line bindings change only inside OnWearOut, and
-	// OnWearOut(u) rebinds only slot u (plus, under PCD, the former last
-	// slot whose binding moves into u as the space shrinks). The batched
-	// sim engine (internal/sim) caches Access results across writes on
-	// the strength of this contract; implementations that break it (or
-	// external metadata corruption, see sim.MetadataFaulter) must stay on
-	// the uncached per-write path.
+	// u in [0, UserLines()): Bindings()[u].
 	Access(u int) int
+	// Bindings returns the live slot→line table, one entry per user slot:
+	// entry u is the device line backing slot u. Callers read it and never
+	// write it. The scheme changes it only inside OnWearOut, in place, and
+	// OnWearOut(u) changes only entry u, except that PCD also cuts the
+	// table by one (the former last entry moves into u). So a caller may
+	// hold the slice across writes and must fetch it again only after a
+	// wear-out that shrank UserLines.
+	Bindings() []int32
 	// BaseLine returns the boot-time device line of slot u, independent of
 	// later replacements. Wear-leveling substrates use it to attach a
-	// fixed endurance metric to each slot.
+	// fixed endurance metric to each slot (see SlotMetrics).
 	BaseLine(u int) int
 	// OnWearOut reports that the line backing slot u has worn out and asks
 	// the scheme to rebind the slot. It returns false when the scheme is
@@ -79,13 +83,52 @@ type Scheme interface {
 	SpareLinesUsed() int
 }
 
+// binding is the slot→line table every scheme embeds. line[u] is the
+// device line backing user slot u, base[u] its boot-time line, and the
+// user space is [0, len(line)). Out-of-range slots panic on the index.
+type binding struct {
+	line, base []int32
+}
+
+// UserLines implements Scheme.
+func (b *binding) UserLines() int { return len(b.line) }
+
+// Access implements Scheme.
+func (b *binding) Access(u int) int { return int(b.line[u]) }
+
+// Bindings implements Scheme.
+func (b *binding) Bindings() []int32 { return b.line }
+
+// BaseLine implements Scheme.
+func (b *binding) BaseLine(u int) int { return int(b.base[u]) }
+
+// SlotMetrics returns each user slot's endurance metric for the
+// endurance-aware wear levelers: the manufacture-time metric of the region
+// holding the slot's base line.
+func SlotMetrics(s Scheme, p *endurance.Profile) []float64 {
+	ms := make([]float64, s.UserLines())
+	for u := range ms {
+		ms[u] = p.RegionMetric(p.RegionOf(s.BaseLine(u)))
+	}
+	return ms
+}
+
+// identity returns the table 0, 1, ..., n-1.
+func identity(n int) []int32 {
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = int32(i)
+	}
+	return t
+}
+
 // ---------------------------------------------------------------------------
 // None
 
 // NoneScheme exposes every line and fails on the first wear-out — the
 // paper's unprotected baseline (the 4.1% row of Figure 6).
 type NoneScheme struct {
-	lines int
+	binding
 }
 
 // NewNone builds the unprotected scheme over a device with n lines.
@@ -93,23 +136,16 @@ func NewNone(n int) *NoneScheme {
 	if n <= 0 {
 		panic("spare: NewNone needs positive line count")
 	}
-	return &NoneScheme{lines: n}
+	// No slot is ever rebound, so the live and boot-time tables can share.
+	t := identity(n)
+	return &NoneScheme{binding{line: t, base: t}}
 }
 
 // Name implements Scheme.
 func (s *NoneScheme) Name() string { return "none" }
 
-// UserLines implements Scheme.
-func (s *NoneScheme) UserLines() int { return s.lines }
-
-// Access implements Scheme.
-func (s *NoneScheme) Access(u int) int { s.check(u); return u }
-
-// BaseLine implements Scheme.
-func (s *NoneScheme) BaseLine(u int) int { s.check(u); return u }
-
 // OnWearOut implements Scheme.
-func (s *NoneScheme) OnWearOut(u int) bool { s.check(u); return false }
+func (s *NoneScheme) OnWearOut(u int) bool { return false }
 
 // SpareLinesTotal implements Scheme.
 func (s *NoneScheme) SpareLinesTotal() int { return 0 }
@@ -117,24 +153,16 @@ func (s *NoneScheme) SpareLinesTotal() int { return 0 }
 // SpareLinesUsed implements Scheme.
 func (s *NoneScheme) SpareLinesUsed() int { return 0 }
 
-func (s *NoneScheme) check(u int) {
-	if u < 0 || u >= s.lines {
-		panic(fmt.Sprintf("spare: slot %d out of range [0,%d)", u, s.lines))
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Physical Sparing (PS)
 
 // PSScheme reserves a pool of spare lines; worn lines are replaced from
 // the pool until it runs dry.
 type PSScheme struct {
-	name      string
-	slotLine  []int // slot -> current backing device line
-	baseLine  []int // slot -> boot-time device line
-	pool      []int // unconsumed spare lines, next allocation at the end
-	total     int
-	allocated int
+	binding
+	name  string
+	pool  []int // unconsumed spare lines, next allocation at the end
+	total int
 }
 
 // PSPolicy selects which lines become spares.
@@ -206,10 +234,10 @@ func NewPS(p *endurance.Profile, spareLines int, policy PSPolicy, src *xrand.Sou
 	s := &PSScheme{name: policy.String(), total: spareLines}
 	for l := 0; l < n; l++ {
 		if !isSpare[l] {
-			s.slotLine = append(s.slotLine, l)
-			s.baseLine = append(s.baseLine, l)
+			s.base = append(s.base, int32(l))
 		}
 	}
+	s.line = slices.Clone(s.base)
 	// Allocation order: consume from the end of pool; keep the sampled /
 	// sorted order so PSRandom allocates randomly and PSWorst/PSBest
 	// allocate weakest-first (a deliberately naive FIFO-by-weakness).
@@ -220,24 +248,13 @@ func NewPS(p *endurance.Profile, spareLines int, policy PSPolicy, src *xrand.Sou
 // Name implements Scheme.
 func (s *PSScheme) Name() string { return s.name }
 
-// UserLines implements Scheme.
-func (s *PSScheme) UserLines() int { return len(s.slotLine) }
-
-// Access implements Scheme.
-func (s *PSScheme) Access(u int) int { return s.slotLine[u] }
-
-// BaseLine implements Scheme.
-func (s *PSScheme) BaseLine(u int) int { return s.baseLine[u] }
-
 // OnWearOut implements Scheme.
 func (s *PSScheme) OnWearOut(u int) bool {
 	if len(s.pool) == 0 {
 		return false
 	}
-	spareLine := s.pool[len(s.pool)-1]
+	s.line[u] = int32(s.pool[len(s.pool)-1])
 	s.pool = s.pool[:len(s.pool)-1]
-	s.slotLine[u] = spareLine
-	s.allocated++
 	return true
 }
 
@@ -245,20 +262,19 @@ func (s *PSScheme) OnWearOut(u int) bool {
 func (s *PSScheme) SpareLinesTotal() int { return s.total }
 
 // SpareLinesUsed implements Scheme.
-func (s *PSScheme) SpareLinesUsed() int { return s.allocated }
+func (s *PSScheme) SpareLinesUsed() int { return s.total - len(s.pool) }
 
 // ---------------------------------------------------------------------------
 // Physical Capacity Degradation (PCD)
 
 // PCDScheme starts with every physical line in service. When a line dies,
 // the address space shrinks by one (the last slot's line moves into the
-// dead slot). The device fails when capacity drops below minCapacity.
+// dead slot, and both tables are cut by one). The device fails when
+// capacity drops below minCapacity.
 type PCDScheme struct {
-	slotLine    []int
-	baseLine    []int
-	live        int
+	binding
+	lines       int
 	minCapacity int
-	consumed    int
 }
 
 // NewPCD builds a capacity-degradation scheme over n lines that fails once
@@ -268,56 +284,29 @@ func NewPCD(n, minCapacity int) *PCDScheme {
 	if n <= 0 || minCapacity <= 0 || minCapacity > n {
 		panic("spare: NewPCD needs 0 < minCapacity <= n")
 	}
-	s := &PCDScheme{
-		slotLine:    make([]int, n),
-		baseLine:    make([]int, n),
-		live:        n,
-		minCapacity: minCapacity,
-	}
-	for i := range s.slotLine {
-		s.slotLine[i] = i
-		s.baseLine[i] = i
-	}
-	return s
+	return &PCDScheme{binding: binding{line: identity(n), base: identity(n)},
+		lines: n, minCapacity: minCapacity}
 }
 
 // Name implements Scheme.
 func (s *PCDScheme) Name() string { return "pcd" }
 
-// UserLines implements Scheme.
-func (s *PCDScheme) UserLines() int { return s.live }
-
-// Access implements Scheme.
-func (s *PCDScheme) Access(u int) int { s.check(u); return s.slotLine[u] }
-
-// BaseLine implements Scheme.
-func (s *PCDScheme) BaseLine(u int) int { s.check(u); return s.baseLine[u] }
-
-func (s *PCDScheme) check(u int) {
-	if u < 0 || u >= s.live {
-		panic(fmt.Sprintf("spare: PCD slot %d out of live range [0,%d)", u, s.live))
-	}
-}
-
 // OnWearOut implements Scheme.
 func (s *PCDScheme) OnWearOut(u int) bool {
-	s.check(u)
-	if s.live-1 < s.minCapacity {
+	last := len(s.line) - 1
+	if last < s.minCapacity {
 		return false
 	}
-	last := s.live - 1
-	s.slotLine[u] = s.slotLine[last]
-	s.baseLine[u] = s.baseLine[last]
-	s.live--
-	s.consumed++
+	s.line[u], s.base[u] = s.line[last], s.base[last]
+	s.line, s.base = s.line[:last], s.base[:last]
 	return true
 }
 
 // SpareLinesTotal implements Scheme.
-func (s *PCDScheme) SpareLinesTotal() int { return len(s.slotLine) - s.minCapacity }
+func (s *PCDScheme) SpareLinesTotal() int { return s.lines - s.minCapacity }
 
 // SpareLinesUsed implements Scheme.
-func (s *PCDScheme) SpareLinesUsed() int { return s.consumed }
+func (s *PCDScheme) SpareLinesUsed() int { return s.lines - len(s.line) }
 
 // ---------------------------------------------------------------------------
 // Max-WE
@@ -371,15 +360,20 @@ func DefaultMaxWEOptions() MaxWEOptions {
 //     (ascending endurance) in the RMT;
 //   - wear-outs inside RWRs flip the RMT tag; all other wear-outs allocate
 //     the strongest remaining dynamic spare line through the LMT.
+//
+// A slot's translation through the tables changes only when its line
+// wears out, so OnWearOut resolves it then and stores the result in the
+// binding: Access is one table load, and the tables are read only at
+// wear-outs.
 type MaxWEScheme struct {
+	binding
 	profile *endurance.Profile
 	opts    MaxWEOptions
 
-	hybrid   *mapping.Hybrid
-	slotBase []int // slot -> boot-time device line (never changes)
-	pool     []int // dynamic spare lines; next allocation at the end
-	total    int
-	used     int
+	hybrid *mapping.Hybrid
+	pool   []int // dynamic spare lines; next allocation at the end
+	total  int
+	used   int
 
 	swrRegions []int
 	rwrRegions []int
@@ -497,30 +491,33 @@ func NewMaxWE(p *endurance.Profile, opts MaxWEOptions) *MaxWEScheme {
 			continue
 		}
 		for l := 0; l < lpr; l++ {
-			s.slotBase = append(s.slotBase, reg*lpr+l)
+			s.base = append(s.base, int32(reg*lpr+l))
 		}
 	}
+	// Empty tables translate every line to itself.
+	s.line = slices.Clone(s.base)
 	return s
 }
 
 // Name implements Scheme.
 func (s *MaxWEScheme) Name() string { return "max-we" }
 
-// UserLines implements Scheme.
-func (s *MaxWEScheme) UserLines() int { return len(s.slotBase) }
-
-// BaseLine implements Scheme.
-func (s *MaxWEScheme) BaseLine(u int) int { return s.slotBase[u] }
-
-// Access resolves slot u through the hybrid mapping tables, mirroring the
-// read/write translation of Section 4.2.
-func (s *MaxWEScheme) Access(u int) int {
-	return s.hybrid.Translate(s.slotBase[u])
+// OnWearOut runs the replacement procedure of Section 4.2 in the tables,
+// then stores slot u's new translation — the read/write path of Section
+// 4.2, LMT, then RMT, then LMT again — in the binding. No other slot's
+// translation changes: every table entry the procedure writes is keyed by
+// u's base line or by the SWR line paired with it.
+func (s *MaxWEScheme) OnWearOut(u int) bool {
+	base := int(s.base[u])
+	if !s.replace(base) {
+		return false
+	}
+	s.line[u] = int32(s.hybrid.Translate(base))
+	return true
 }
 
-// OnWearOut implements the replacement procedure of Section 4.2.
-func (s *MaxWEScheme) OnWearOut(u int) bool {
-	base := s.slotBase[u]
+// replace updates the tables for the wear-out of the line backing base.
+func (s *MaxWEScheme) replace(base int) bool {
 	if s.hybrid.RMT.HasRegion(s.profile.RegionOf(base)) {
 		line, replaced := s.hybrid.RMT.Translate(base)
 		if !replaced {
@@ -573,8 +570,10 @@ func (s *MaxWEScheme) Mapping() *mapping.Hybrid { return s.hybrid }
 
 // CorruptMetadata injects one metadata fault into the scheme's hybrid
 // mapping tables (the fault-injection layer's metadata fault class). It
-// returns false when the tables hold no entries to corrupt. Until the
-// next ScrubMetadata, Access may resolve through the damaged entry.
+// returns false when the tables hold no entries to corrupt. Access keeps
+// returning the bindings resolved at earlier wear-outs, but an OnWearOut
+// before the next ScrubMetadata may resolve through the damaged entry
+// (the simulator scrubs in the same write, before any wear-out).
 func (s *MaxWEScheme) CorruptMetadata(src *xrand.Source) bool {
 	return s.hybrid.Corrupt(src)
 }

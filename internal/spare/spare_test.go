@@ -496,12 +496,25 @@ func TestMaxWEPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkMaxWEAccess(b *testing.B) {
+// BenchmarkSchemeAccess times one Access, the per-write route's lookup of
+// a slot's line, on each scheme over a 256×16 linear profile.
+func BenchmarkSchemeAccess(b *testing.B) {
 	p := endurance.Linear(256, 16, 100, 5000)
-	s := NewMaxWE(p, DefaultMaxWEOptions())
-	n := s.UserLines()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Access(i % n)
+	n := p.Lines()
+	for _, c := range []struct {
+		name string
+		s    Scheme
+	}{
+		{"max-we", NewMaxWE(p, DefaultMaxWEOptions())},
+		{"ps", NewPS(p, n/10, PSRandom, xrand.New(1))},
+		{"pcd", NewPCD(n, n-n/10)},
+		{"none", NewNone(n)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			users := c.s.UserLines()
+			for i := 0; i < b.N; i++ {
+				_ = c.s.Access(i % users)
+			}
+		})
 	}
 }

@@ -26,8 +26,9 @@
 //	res := sys.RunLifetime()
 //	fmt.Printf("normalized lifetime: %.3f\n", res.NormalizedLifetime)
 //
-// See examples/ for full programs and bench_test.go for the harness that
-// regenerates every table and figure of the paper.
+// See examples/ for full programs, and cmd/figures (built on
+// internal/artifacts) for the driver that regenerates every table and
+// figure of the paper.
 package maxwe
 
 import (
@@ -290,16 +291,8 @@ func buildLeveler(cfg Config, p *endurance.Profile, sch spare.Scheme) (wearlevel
 	if cfg.Scheme == "pcd" {
 		return nil, fmt.Errorf("maxwe: scheme %q requires WearLeveling == \"\" (its capacity shrinks)", cfg.Scheme)
 	}
-	slots := sch.UserLines()
-	src := xrand.New(cfg.Seed + 3)
-	metrics := func() []float64 {
-		ms := make([]float64, slots)
-		for u := range ms {
-			ms[u] = p.RegionMetric(p.RegionOf(sch.BaseLine(u)))
-		}
-		return ms
-	}
-	lev, err := wearlevel.New(cfg.WearLeveling, slots, metrics, cfg.Psi, src)
+	metrics := func() []float64 { return spare.SlotMetrics(sch, p) }
+	lev, err := wearlevel.New(cfg.WearLeveling, sch.UserLines(), metrics, cfg.Psi, xrand.New(cfg.Seed+3))
 	if err != nil {
 		return nil, fmt.Errorf("maxwe: %w", err)
 	}
