@@ -143,23 +143,7 @@ func runSeedSweep(ctx context.Context, base maxwe.Config, seeds, parallel int, c
 	for i := 0; i < seeds; i++ {
 		cfg := base
 		cfg.Seed = base.Seed + uint64(i)
-		cells[i] = runner.Cell[maxwe.Result]{
-			Key:         fmt.Sprintf("seed/%d", cfg.Seed),
-			Fingerprint: cfg.Fingerprint(),
-			Run: func(c context.Context) (maxwe.Result, error) {
-				sys, err := maxwe.New(cfg)
-				if err != nil {
-					return maxwe.Result{}, err
-				}
-				res := sys.RunLifetimeCtx(c)
-				if res.Interrupted {
-					// Leave the cell incomplete rather than recording a
-					// truncated lifetime.
-					return maxwe.Result{}, c.Err()
-				}
-				return res, nil
-			},
-		}
+		cells[i] = cfg.Cell(fmt.Sprintf("seed/%d", cfg.Seed))
 	}
 	rep, err := runner.Run(ctx, runner.Config{Parallelism: parallel, Cache: cache}, cells)
 	if err != nil {

@@ -68,10 +68,6 @@ type WorkerInfo struct {
 	Name string `json:"name,omitempty"`
 	// Slots is how many cells the worker computes concurrently.
 	Slots int `json:"slots"`
-	// CacheEnabled reports whether the worker runs a local memo cache.
-	// nvmd workers run none — the coordinator's cache sits in front of
-	// dispatch — so they always send false.
-	CacheEnabled bool `json:"cache_enabled"`
 	// EngineSchema is the worker's sim.EngineSchemaVersion. The
 	// coordinator rejects a mismatch: results from a semantically
 	// different engine must never be merged.
@@ -105,9 +101,6 @@ type Task struct {
 	Job string `json:"job"`
 	// Key is the cell key within the sweep (e.g. "fig7/tlsr/90").
 	Key string `json:"key"`
-	// Fingerprint is the cell's content address for the memo cache
-	// (empty for cells that opt out of caching).
-	Fingerprint string `json:"fingerprint,omitempty"`
 	// Spec is the normalized job specification JSON the worker expands
 	// to reconstruct the cell.
 	Spec json.RawMessage `json:"spec"`

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync" //lint:allow nondeterminism "test harness coordination"
@@ -442,4 +444,70 @@ func TestMetricsTextListsAllCounters(t *testing.T) {
 			t.Fatalf("metrics text missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// postJSON posts body to path on srv and returns the status and the
+// response body.
+func postJSON(t *testing.T, srv *httptest.Server, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: read body: %v", path, err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestRegisterAcceptsLegacyCacheEnabled pins that a worker still sending
+// the dropped cache_enabled capability registers normally.
+func TestRegisterAcceptsLegacyCacheEnabled(t *testing.T) {
+	c := NewCoordinator(testConfig(newFakeClock()))
+	srv := httptest.NewServer(NewHandler(c, nil))
+	defer srv.Close()
+	code, body := postJSON(t, srv, "/v1/cluster/register", fmt.Sprintf(
+		`{"info":{"slots":1,"cache_enabled":true,"engine_schema":7,"proto":%d}}`, ProtoVersion))
+	if code != http.StatusOK {
+		t.Fatalf("register status %d: %s", code, body)
+	}
+	var resp RegisterResponse
+	if err := json.Unmarshal(body, &resp); err != nil || resp.WorkerID == "" {
+		t.Fatalf("register response %s: %v", body, err)
+	}
+}
+
+// TestLeasedTaskCarriesNoFingerprint pins that a lease sends the worker
+// the cell's key and spec but not its fingerprint, which only the
+// coordinator's cache reads.
+func TestLeasedTaskCarriesNoFingerprint(t *testing.T) {
+	c := NewCoordinator(testConfig(newFakeClock()))
+	srv := httptest.NewServer(NewHandler(c, nil))
+	defer srv.Close()
+	reg, err := c.Register(testInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := dispatchAsync(ctx, c, "k", "fp-k")
+	waitDispatched(t, c, 1)
+	code, body := postJSON(t, srv, "/v1/cluster/lease", `{"worker_id":"`+reg.WorkerID+`"}`)
+	if code != http.StatusOK {
+		t.Fatalf("lease status %d: %s", code, body)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["fingerprint"]; ok {
+		t.Fatalf("leased task carries a fingerprint: %s", body)
+	}
+	var task Task
+	if err := json.Unmarshal(body, &task); err != nil || task.Key != "k" {
+		t.Fatalf("leased task %s: %v", body, err)
+	}
+	reportCell(t, c, reg.WorkerID, &task, done)
 }

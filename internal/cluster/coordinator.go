@@ -161,18 +161,21 @@ func (c *Coordinator) Register(info WorkerInfo) (RegisterResponse, error) {
 // DispatchCell enqueues one cell and blocks until a worker reports it or
 // ctx ends. It matches the service-side dispatcher signature
 // structurally, so the service package can depend on an interface it
-// defines itself and never import this package.
-func (c *Coordinator) DispatchCell(ctx context.Context, job string, spec []byte, key, fingerprint string) ([]byte, error) {
+// defines itself and never import this package. The fingerprint is
+// unused: the coordinator's cache answers by fingerprint before dispatch,
+// and workers keep no cache. The parameter stays because
+// service.CellDispatcher carries it, and the perf harness's timing
+// dispatcher implements that interface by forwarding here.
+func (c *Coordinator) DispatchCell(ctx context.Context, job string, spec []byte, key, _ string) ([]byte, error) {
 	c.mu.Lock()
 	c.nextTask++
 	id := fmt.Sprintf("t-%06d", c.nextTask)
 	st := &taskState{
 		task: Task{
-			ID:          id,
-			Job:         job,
-			Key:         key,
-			Fingerprint: fingerprint,
-			Spec:        json.RawMessage(spec),
+			ID:   id,
+			Job:  job,
+			Key:  key,
+			Spec: json.RawMessage(spec),
 		},
 		seq:  c.nextTask,
 		done: make(chan struct{}),

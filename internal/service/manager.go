@@ -735,24 +735,7 @@ func runSweep[T any](ctx context.Context, m *Manager, j *job, rcfg runner.Config
 func sweepCells(specs []CellSpec) []runner.Cell[maxwe.Result] {
 	cells := make([]runner.Cell[maxwe.Result], len(specs))
 	for i, cs := range specs {
-		cfg := cs.Config
-		cells[i] = runner.Cell[maxwe.Result]{
-			Key:         cs.Key,
-			Fingerprint: cfg.Fingerprint(),
-			Run: func(ctx context.Context) (maxwe.Result, error) {
-				sys, err := maxwe.New(cfg)
-				if err != nil {
-					return maxwe.Result{}, err
-				}
-				res := sys.RunLifetimeCtx(ctx)
-				if res.Interrupted {
-					// Leave the cell incomplete rather than checkpointing
-					// a truncated lifetime.
-					return maxwe.Result{}, ctx.Err()
-				}
-				return res, nil
-			},
-		}
+		cells[i] = cs.Config.Cell(cs.Key)
 	}
 	return cells
 }

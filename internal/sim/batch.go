@@ -1,8 +1,8 @@
 // batch.go is the struct-of-arrays batched write engine. Instead of one
 // interface-call chain per write (attack → leveler → scheme → device),
 // the loops here pull address batches from attack.BatchAttack, translate
-// them through the scheme's live slot→line table (spare.Scheme.Bindings),
-// and index the device.Core slices directly.
+// them through the engine's bind (the scheme's live slot→line table,
+// spare.Scheme.Bindings), and index the device.Core slices directly.
 //
 // RunDetailed has one epoch driver, runEpochs, and three routes: the
 // per-write route (generalEpoch driving a Stepper, stepper.go) and the two
@@ -25,14 +25,17 @@
 // every write.
 //
 // Exactness contract: every loop in this file must produce bit-identical
-// Results to the per-write reference engine (see crossval_test.go). The
-// load-bearing invariants are documented on spare.Scheme.Bindings (the
-// loops hold the scheme's own table, which changes only inside OnWearOut
-// and only for the worn slot, so they keep no copy; PCD's shrink is the
-// one change of length, after which pcdEpoch fetches the table again)
-// and attack.BatchAttack (NextBatch ≡ repeated Next). Fault plans draw an
-// outcome for every physical write, which only the per-write route does,
-// so fault configurations never enter these loops.
+// Results to the independent per-write reference engine (see
+// crossval_test.go). The load-bearing invariants are documented on
+// spare.Scheme.Bindings and attack.BatchAttack (NextBatch ≡ repeated
+// Next). Each epoch reads e.bind and e.core.Left into locals at its
+// start. The table changes only inside OnWearOut, which engine.replace
+// alone calls, and only for the worn slot, so a local stays exact across
+// wear-outs; PCD's shrink is the one change of length, after which
+// pcdEpoch reads e.bind again. Movement writes go through engine.WriteSlot
+// and wear-outs through engine.wearOut, so no loop calls OnWearOut itself.
+// Fault plans draw an outcome for every physical write, which only the
+// per-write route does, so fault configurations never enter these loops.
 //
 // The loops leave device.Core.Total short by exactly the user writes they
 // return: a load and store through the core on every write cost more than
@@ -45,7 +48,6 @@ import (
 	"math"
 
 	"maxwe/internal/attack"
-	"maxwe/internal/device"
 	"maxwe/internal/spare"
 	"maxwe/internal/wearlevel"
 )
@@ -91,42 +93,35 @@ func runEpochs(cfg Config, epoch func(size int) (consumed int, ok bool)) (userWr
 }
 
 // runBatchedDirect is the unleveled, fault-free SoA loop: every epoch
-// runs checkedEpoch, which replicates Device.Write inline. PCD shrinks the
+// runs checkedEpoch, which replicates Core.Write inline. PCD shrinks the
 // user space inside OnWearOut, so its epochs run pcdEpoch, which draws
 // each address with Next at the current capacity instead of one NextBatch
-// at the epoch's starting size; slotLine, the scheme's table, is fetched
-// again after every PCD wear-out so it spans exactly the current user
-// space.
-func runBatchedDirect(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
-	scheme := e.scheme
-	if scheme.UserLines() == 0 {
+// at the epoch's starting size.
+func runBatchedDirect(cfg Config, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
+	if len(e.bind) == 0 {
 		e.failed = true
 		return 0, false
 	}
-	// The core's slices never reallocate, so the loops index a local copy
-	// of the budget slice's header instead of reloading it through the core.
-	left := dev.Core().Left
-	_, pcd := scheme.(*spare.PCDScheme)
-	slotLine := scheme.Bindings()
+	_, pcd := e.scheme.(*spare.PCDScheme)
 	batch := make([]int, epochSize)
 	return runEpochs(cfg, func(size int) (consumed int, ok bool) {
 		if pcd {
-			consumed, slotLine, ok = pcdEpoch(e, att, size, slotLine, left)
-			return consumed, ok
+			return pcdEpoch(e, att, size)
 		}
 		b := batch[:size]
-		att.NextBatch(len(slotLine), b)
-		return checkedEpoch(e, b, slotLine, left)
+		att.NextBatch(len(e.bind), b)
+		return checkedEpoch(e, b)
 	})
 }
 
 // checkedEpoch writes the slots of b with the budget check inline: the
 // unleveled loop of every scheme but PCD, and the leveled loop under
 // Identity, whose slots are the logical addresses. The capacity is fixed,
-// so slotLine keeps its length across wear-outs.
-func checkedEpoch(e *engine, b []int, slotLine []int32, left []int64) (consumed int, ok bool) {
+// so the table keeps its length across wear-outs.
+func checkedEpoch(e *engine, b []int) (consumed int, ok bool) {
+	bind, left := e.bind, e.core.Left
 	for i, u := range b {
-		line := slotLine[u]
+		line := bind[u]
 		l := left[line] - 1
 		left[line] = l
 		if l <= 0 {
@@ -140,47 +135,23 @@ func checkedEpoch(e *engine, b []int, slotLine []int32, left []int64) (consumed 
 
 // pcdEpoch is checkedEpoch for PCD's shrinking user space: size writes,
 // each address drawn with Next at the capacity current when it is drawn.
-// Each wear-out shrinks the scheme's table, so it is fetched again; the
-// epoch returns the table it ends with.
-func pcdEpoch(e *engine, att attack.Attack, size int, slotLine []int32, left []int64) (consumed int, _ []int32, ok bool) {
+// Each wear-out shrinks the table, so it is read again.
+func pcdEpoch(e *engine, att attack.Attack, size int) (consumed int, ok bool) {
+	bind, left := e.bind, e.core.Left
 	for i := 0; i < size; i++ {
-		u := att.Next(len(slotLine))
-		line := slotLine[u]
+		u := att.Next(len(bind))
+		line := bind[u]
 		l := left[line] - 1
 		left[line] = l
 		if l <= 0 {
 			ok = e.wearOut(line, u)
-			slotLine = e.scheme.Bindings()
+			bind = e.bind
 			if !ok {
-				return i + 1, slotLine, false
+				return i + 1, false
 			}
 		}
 	}
-	return size, slotLine, true
-}
-
-// boundMover routes wear-leveling movement writes through the SoA core,
-// resolving slots through the scheme's table, which the replacements those
-// writes can trigger update in place. It is the batched twin of
-// engine.WriteSlot.
-type boundMover struct {
-	e        *engine
-	core     *device.Core
-	slotLine []int32
-}
-
-var _ wearlevel.Mover = (*boundMover)(nil)
-
-// WriteSlot implements wearlevel.Mover through the scheme's table.
-func (m *boundMover) WriteSlot(u int) bool {
-	if m.core.Write(int(m.slotLine[u])) {
-		m.e.rebinds++
-		if !m.e.scheme.OnWearOut(u) {
-			m.e.failed = true
-			return false
-		}
-	}
-	return true
+	return size, true
 }
 
 // runBatchedLeveled is the leveled, fault-free SoA loop. Addresses are
@@ -190,17 +161,13 @@ func (m *boundMover) WriteSlot(u int) bool {
 // wearlevel.SwapWL's shared perm/credit state, with only the rare events
 // paying a call, and Identity runs checkedEpoch with no translation at
 // all. Every other leveler runs levelerEpoch through the interface calls.
-func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
-	core := dev.Core()
-	left := core.Left
+func runBatchedLeveled(cfg Config, e *engine, att attack.BatchAttack) (userWrites int64, interrupted bool) {
 	lev := cfg.Leveler
 	logicalLines := lev.LogicalLines()
-	slotLine := e.scheme.Bindings()
-	mov := &boundMover{e: e, core: core, slotLine: slotLine}
 	batch := make([]int, epochSize)
 	var sc *swapCountdown
 	if swap, ok := lev.(*wearlevel.SwapWL); ok {
-		sc = newSwapCountdown(e, swap, mov, left)
+		sc = newSwapCountdown(e, swap)
 	}
 	_, ident := lev.(*wearlevel.Identity)
 	userWrites, interrupted = runEpochs(cfg, func(size int) (int, bool) {
@@ -210,9 +177,9 @@ func runBatchedLeveled(cfg Config, dev *device.Device, e *engine, att attack.Bat
 		case sc != nil:
 			return swapEpoch(sc, b)
 		case ident:
-			return checkedEpoch(e, b, slotLine, left)
+			return checkedEpoch(e, b)
 		default:
-			return levelerEpoch(e, b, lev, mov, slotLine, left)
+			return levelerEpoch(e, b, lev)
 		}
 	})
 	if sc != nil {
@@ -240,25 +207,22 @@ type swapCountdown struct {
 	e                 *engine
 	swap              *wearlevel.SwapWL
 	perm, inv, credit []int
-	mov               *boundMover
-	slotLine          []int32
 	left              []int64
 	// cd is each address's countdown and grant the countdown it was last
 	// granted: grant-cd writes are in neither credit nor Left yet.
 	cd, grant []int32
-	// lineOf composes perm and slotLine: the line each address writes. It
-	// changes only at events.
+	// lineOf composes perm and the engine's bind: the line each address
+	// writes. It changes only at events.
 	lineOf []int32
 }
 
-func newSwapCountdown(e *engine, swap *wearlevel.SwapWL, mov *boundMover, left []int64) *swapCountdown {
+func newSwapCountdown(e *engine, swap *wearlevel.SwapWL) *swapCountdown {
 	perm, inv, credit := swap.HotState()
 	n := len(perm)
-	s := &swapCountdown{e: e, swap: swap, perm: perm, inv: inv, credit: credit, mov: mov,
-		slotLine: mov.slotLine, left: left,
+	s := &swapCountdown{e: e, swap: swap, perm: perm, inv: inv, credit: credit, left: e.core.Left,
 		cd: make([]int32, n), grant: make([]int32, n), lineOf: make([]int32, n)}
 	for lla, u := range perm {
-		s.lineOf[lla] = s.slotLine[u]
+		s.lineOf[lla] = e.bind[u]
 		s.regrant(lla)
 	}
 	return s
@@ -297,7 +261,7 @@ func (s *swapCountdown) event(lla int) bool {
 		if !s.e.wearOut(line, u) {
 			return false
 		}
-		s.lineOf[lla] = s.slotLine[u]
+		s.lineOf[lla] = s.e.bind[u]
 	}
 	s.credit[lla]--
 	if s.credit[lla] <= 0 && !s.relocate(lla) {
@@ -308,7 +272,7 @@ func (s *swapCountdown) event(lla int) bool {
 }
 
 // relocate is SwapWL.Relocate's three steps with the movement writes
-// through the bound mover: Pick, the writes to dest and to lla's slot,
+// through the engine: Pick, the writes to dest and to lla's slot,
 // Commit. The address on dest is settled first, so that the movement
 // write's wear-out test sees its line's exact budget, and granted afresh
 // after the commit. Its credit is settled too: Commit overwrites it, but a
@@ -323,11 +287,11 @@ func (s *swapCountdown) relocate(lla int) bool {
 	}
 	other := s.inv[dest]
 	s.settle(other)
-	if !s.mov.WriteSlot(dest) || !s.mov.WriteSlot(cur) {
+	if !s.e.WriteSlot(dest) || !s.e.WriteSlot(cur) {
 		return false
 	}
 	s.swap.Commit(lla, dest)
-	s.lineOf[lla], s.lineOf[other] = s.slotLine[dest], s.slotLine[cur]
+	s.lineOf[lla], s.lineOf[other] = s.e.bind[dest], s.e.bind[cur]
 	s.regrant(other)
 	return true
 }
@@ -356,12 +320,13 @@ func (s *swapCountdown) settleAll() {
 }
 
 // levelerEpoch writes the logical addresses of b under any other leveler,
-// through its Translate and OnWrite.
-func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *boundMover,
-	slotLine []int32, left []int64) (consumed int, ok bool) {
+// through its Translate and OnWrite; its movement writes go through the
+// engine.
+func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler) (consumed int, ok bool) {
+	bind, left := e.bind, e.core.Left
 	for i, lla := range b {
 		u := lev.Translate(lla)
-		line := slotLine[u]
+		line := bind[u]
 		l := left[line] - 1
 		left[line] = l
 		if l <= 0 {
@@ -369,7 +334,7 @@ func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *boundMover,
 				return i + 1, false
 			}
 		}
-		if !lev.OnWrite(lla, mov) {
+		if !lev.OnWrite(lla, e) {
 			return i + 1, false
 		}
 	}
@@ -378,22 +343,12 @@ func levelerEpoch(e *engine, b []int, lev wearlevel.Leveler, mov *boundMover,
 
 // wearOut is the rare-path half of the inlined write, called whenever a
 // write leaves the budget of line, slot u's line, at or below zero: mark
-// the line worn and run the replacement procedure, which rebinds u in the
-// scheme's table (under PCD it also shrinks the table, and the caller
-// fetches it again). A line that is already worn (written again past
-// wear-out) returns ok at once, so no loop needs the Worn slice. Returns
-// false on device failure (e.failed is set).
+// the line worn and replace it. A line that is already worn (written
+// again past wear-out) returns ok at once, so no loop needs the Worn
+// slice. Returns false on device failure (e.failed is set).
 func (e *engine) wearOut(line int32, u int) bool {
-	core := e.dev.Core()
-	if core.Worn[line] {
+	if !e.core.ForceWear(int(line)) {
 		return true
 	}
-	core.Worn[line] = true
-	core.WornLines++
-	e.rebinds++
-	if !e.scheme.OnWearOut(u) {
-		e.failed = true
-		return false
-	}
-	return true
+	return e.replace(u)
 }

@@ -1,5 +1,5 @@
 // crossval_test.go cross-validates the struct-of-arrays batched loops
-// (batch.go) against the pre-refactor per-write engine, kept in-test as
+// (batch.go) against an independent per-write engine, kept in-test as
 // referenceRunDetailed (optim_test.go), and against the per-write route
 // (generalEpoch driving a Stepper). The bar
 // is exact Result equality — bit-identical, not approximate — across the
@@ -289,11 +289,10 @@ func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 
 // FuzzEngineCrossValidation is the satellite property test: arbitrary
 // (attack, scheme, leveler, fault-plan, cap) configurations must produce
-// byte-identical Result JSON from the pre-refactor reference loop and the
-// refactored engine. Fault plans route the refactored engine through the
-// per-write route, so the fuzz also pins the Stepper's capacity cache,
-// refreshed only across wear-outs, against the reference's
-// re-read-every-write behavior.
+// byte-identical Result JSON from the reference loop and the refactored
+// engine. Fault plans route the refactored engine through the per-write
+// route, so the fuzz also pins the Stepper's capacity, the length of the
+// engine's table, against the reference's UserLines re-read every write.
 func FuzzEngineCrossValidation(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(1), uint8(4), uint16(0), uint16(0))
 	f.Add(uint64(2), uint8(2), uint8(7), uint8(0), uint16(0), uint16(900))

@@ -43,14 +43,14 @@ func (e *engine) writeSlotFaulty(u int) bool {
 		}
 	}
 
-	line := e.scheme.Access(u)
+	line := int(e.bind[u])
 	if f.StuckAt {
 		// A stuck-at fault is discovered by a write attempt, so the
 		// attempt is charged to the device before the line is retired
 		// early. In the rare case that very attempt exhausts the line's
 		// budget it is an ordinary wear-out, not a stuck-at kill.
-		natural := e.dev.Write(line)
-		if !natural && e.dev.ForceWear(line) {
+		natural := e.core.Write(line)
+		if !natural && e.core.ForceWear(line) {
 			e.ctr.StuckAtFaults++
 			natural = true
 		}
@@ -65,7 +65,7 @@ func (e *engine) writeSlotFaulty(u int) bool {
 		e.ctr.TransientFaults++
 		// The initial attempt fails transiently but still wears the
 		// cells; it can itself be the write that exhausts the line.
-		if e.dev.Write(line) {
+		if e.core.Write(line) {
 			if u, line = e.rebind(u); e.failed {
 				return false
 			}
@@ -79,7 +79,7 @@ func (e *engine) writeSlotFaulty(u int) bool {
 			e.ctr.Retries++
 			e.ctr.BackoffUnits += e.retry.Backoff(i)
 			// Failed retries wear the cells just like the initial attempt.
-			if e.dev.Write(line) {
+			if e.core.Write(line) {
 				if u, line = e.rebind(u); e.failed {
 					return false
 				}
@@ -90,7 +90,7 @@ func (e *engine) writeSlotFaulty(u int) bool {
 			// is treated as hard-failed and replaced before the final
 			// attempt (which targets the fresh spare).
 			e.ctr.Escalations++
-			if e.dev.ForceWear(line) {
+			if e.core.ForceWear(line) {
 				if u, line = e.rebind(u); e.failed {
 					return false
 				}
@@ -98,33 +98,27 @@ func (e *engine) writeSlotFaulty(u int) bool {
 		}
 	}
 
-	if e.dev.Write(line) {
-		e.rebinds++
-		if !e.scheme.OnWearOut(u) {
-			e.failed = true
-			return false
-		}
+	if e.core.Write(line) {
+		return e.replace(u)
 	}
 	return true
 }
 
-// rebind runs the scheme's replacement procedure for slot u's dead
-// backing line and re-resolves the slot. On spare exhaustion it marks the
-// engine failed. Under PCD the dying slot can be the last one, shrinking
-// the user space past u; the in-flight write then folds modulo the new
-// capacity, mirroring the Stepper's address folding.
+// rebind replaces slot u's dead backing line and re-resolves the slot. On
+// spare exhaustion the engine is marked failed. Under PCD the dying slot
+// can be the last one, shrinking the user space past u; the in-flight
+// write then folds modulo the new capacity, mirroring the Stepper's
+// address folding.
 func (e *engine) rebind(u int) (slot, line int) {
-	e.rebinds++
-	if !e.scheme.OnWearOut(u) {
-		e.failed = true
+	if !e.replace(u) {
 		return u, 0
 	}
-	if n := e.scheme.UserLines(); u >= n {
+	if n := len(e.bind); u >= n {
 		if n == 0 {
 			e.failed = true
 			return u, 0
 		}
 		u %= n
 	}
-	return u, e.scheme.Access(u)
+	return u, int(e.bind[u])
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"maxwe/internal/attack"
+	"maxwe/internal/device"
 	"maxwe/internal/endurance"
 	"maxwe/internal/faultinject"
 	"maxwe/internal/spare"
@@ -298,5 +299,56 @@ func TestFaultConfigValidation(t *testing.T) {
 	cfg.Retry = faultinject.RetryPolicy{MaxRetries: -1}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("invalid retry policy accepted")
+	}
+}
+
+// TestFaultPathPCDLastSlotFold drives PCD's last slot through the fault
+// path, so that the slot's line dies in the middle of a write: at a
+// stuck-at attempt, a transient first attempt, a retry or an escalation.
+// PCD's shrink then leaves the slot past the new space, and rebind folds
+// the in-flight write onto slot 0. Only a fold writes line 0, which stays
+// bound to slot 0 while every write targets the last slot, so its wear
+// proves the fold ran. Two runs must agree line for line, and the
+// Stepper's space must track the scheme's after every write.
+func TestFaultPathPCDLastSlotFold(t *testing.T) {
+	p := endurance.Linear(4, 4, 3, 12).Shuffled(xrand.New(5))
+	run := func() (Result, *device.Device) {
+		plan, err := faultinject.NewPlan(faultinject.Config{
+			Seed: 11, TransientProb: 0.5, MaxTransientRetries: 3, StuckAtProb: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch := spare.NewPCD(p.Lines(), 2)
+		st, err := NewStepper(Config{Profile: p, Scheme: sch, Faults: plan,
+			Retry: faultinject.RetryPolicy{MaxRetries: 2, BackoffBase: 1, BackoffCap: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st.Write(st.LogicalLines() - 1) {
+			if st.LogicalLines() != sch.UserLines() {
+				t.Fatalf("stepper space %d != scheme space %d", st.LogicalLines(), sch.UserLines())
+			}
+		}
+		if st.LogicalLines() != sch.UserLines() {
+			t.Fatalf("stepper space %d != scheme space %d at failure", st.LogicalLines(), sch.UserLines())
+		}
+		checkCoreInvariants(t, "pcd faults", st.Device())
+		return st.Result(), st.Device()
+	}
+	res, dev := run()
+	again, devAgain := run()
+	if res != again {
+		t.Fatalf("fault runs diverged: %+v vs %+v", res, again)
+	}
+	for line := 0; line < p.Lines(); line++ {
+		if dev.Writes(line) != devAgain.Writes(line) || dev.Worn(line) != devAgain.Worn(line) {
+			t.Fatalf("line %d diverged across runs", line)
+		}
+	}
+	if !res.Failed || res.Faults.StuckAtFaults == 0 || res.Faults.Escalations == 0 {
+		t.Fatalf("scenario did not fail through stuck-at faults and escalations: %+v", res)
+	}
+	if dev.Writes(0) == 0 {
+		t.Fatalf("no in-flight write folded onto slot 0: %+v", res)
 	}
 }

@@ -1,8 +1,7 @@
-// optim_test.go holds referenceRunDetailed, an in-test copy of the
-// original single RunDetailed loop that routed every write through
-// engine.WriteSlot, and checks the optimized engine against it. The
-// optimized loops must produce *identical* Results — not merely close
-// ones — on golden seeds.
+// optim_test.go holds referenceRunDetailed, an in-test per-write engine
+// independent of the production write primitive, and checks the
+// optimized engine against it. The optimized loops must produce
+// *identical* Results — not merely close ones — on golden seeds.
 package sim
 
 import (
@@ -19,15 +18,39 @@ import (
 // ---------------------------------------------------------------------------
 // Reference implementation (pre-optimization behavior)
 
-// referenceRunDetailed is the original single RunDetailed loop: every write
-// routed through engine.WriteSlot, UserLines()/LogicalLines() re-read per
-// iteration.
+// refMover is the reference's one physical write. Fault-free, it resolves
+// slot u with Scheme.Access, writes through Device.Write and calls
+// OnWearOut itself, sharing nothing with engine.WriteSlot; with a fault
+// plan it defers to the production fault path in faulty.
+type refMover struct {
+	scheme spare.Scheme
+	dev    *device.Device
+	faulty *engine
+	failed bool
+}
+
+// WriteSlot implements wearlevel.Mover.
+func (m *refMover) WriteSlot(u int) bool {
+	if m.faulty != nil {
+		m.failed = !m.faulty.WriteSlot(u)
+	} else if m.dev.Write(m.scheme.Access(u)) {
+		m.failed = !m.scheme.OnWearOut(u)
+	}
+	return !m.failed
+}
+
+// referenceRunDetailed is the original single RunDetailed loop: every
+// write, user and movement alike, routed through a refMover, and
+// UserLines()/LogicalLines() re-read per iteration.
 func referenceRunDetailed(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
 	dev := device.New(cfg.Profile)
-	e := newEngine(cfg, dev)
+	m := &refMover{scheme: cfg.Scheme, dev: dev}
+	if cfg.Faults.Enabled() {
+		m.faulty = newEngine(cfg, dev.Core())
+	}
 	var userWrites int64
 	interrupted := false
 	for {
@@ -46,11 +69,11 @@ func referenceRunDetailed(cfg Config) (Result, error) {
 		}
 		if cfg.Leveler == nil {
 			if cfg.Scheme.UserLines() == 0 {
-				e.failed = true
+				m.failed = true
 				break
 			}
 			u := cfg.Attack.Next(cfg.Scheme.UserLines())
-			ok := e.WriteSlot(u)
+			ok := m.WriteSlot(u)
 			userWrites++
 			if !ok {
 				break
@@ -59,15 +82,20 @@ func referenceRunDetailed(cfg Config) (Result, error) {
 		}
 		lla := cfg.Attack.Next(cfg.Leveler.LogicalLines())
 		u := cfg.Leveler.Translate(lla)
-		ok := e.WriteSlot(u)
+		ok := m.WriteSlot(u)
 		userWrites++
 		if !ok {
 			break
 		}
-		if !cfg.Leveler.OnWrite(lla, e) {
+		if !cfg.Leveler.OnWrite(lla, m) {
 			break
 		}
 	}
+	e := m.faulty
+	if e == nil {
+		e = &engine{}
+	}
+	e.failed = m.failed
 	return buildResult(cfg, dev, userWrites, e, interrupted), nil
 }
 

@@ -15,12 +15,14 @@
 // size for three routes: the per-write route, generalEpoch driving a
 // Stepper, for fault plans and attacks without a batch generator; and
 // the batched struct-of-arrays loops of batch.go for the rest, unleveled
-// (runBatchedDirect) or leveled (runBatchedLeveled). The per-write route
-// resolves each write's line with spare.Scheme.Access; the batched loops
-// index the scheme's live slot→line table (spare.Scheme.Bindings)
-// directly. Neither keeps a table of its own. Tests cross-validate every
-// route against an in-test copy of the original per-write engine bit for
-// bit.
+// (runBatchedDirect) or leveled (runBatchedLeveled). Every route resolves
+// a slot's line through the engine's bind, the scheme's live slot→line
+// table (spare.Scheme.Bindings) itself, not a copy. Every physical write
+// outside the batched loops' inline budget check goes through
+// engine.WriteSlot, and every replacement through engine.replace, the one
+// place the engine calls the scheme's OnWearOut and fetches the table
+// again. Tests cross-validate every route against an independent in-test
+// per-write engine bit for bit.
 package sim
 
 import (
@@ -148,15 +150,12 @@ func (c Config) validate() error {
 // wearlevel.Mover so relocation traffic flows through the same wear-out
 // handling as user traffic.
 type engine struct {
-	dev    *device.Device
+	core   *device.Core
 	scheme spare.Scheme
+	// bind is the scheme's live slot→line table, not a copy. It changes
+	// only inside OnWearOut, which replace alone calls.
+	bind   []int32
 	failed bool
-
-	// rebinds counts OnWearOut invocations made through the engine. Loops
-	// that hoist scheme state which is only invalidated by a replacement
-	// (the user capacity) compare it against a snapshot to refresh exactly
-	// across wear-outs instead of per write.
-	rebinds int64
 
 	// Fault layer (nil faults = the exact pre-fault write path; see
 	// faults.go).
@@ -169,8 +168,8 @@ var _ wearlevel.Mover = (*engine)(nil)
 
 // newEngine assembles the write engine, arming the fault layer only when
 // the config carries an enabled plan.
-func newEngine(cfg Config, dev *device.Device) *engine {
-	e := &engine{dev: dev, scheme: cfg.Scheme}
+func newEngine(cfg Config, core *device.Core) *engine {
+	e := &engine{core: core, scheme: cfg.Scheme, bind: cfg.Scheme.Bindings()}
 	if cfg.Faults.Enabled() {
 		e.faults = cfg.Faults
 		e.retry = cfg.Retry
@@ -188,15 +187,23 @@ func (e *engine) WriteSlot(u int) bool {
 	if e.faults != nil {
 		return e.writeSlotFaulty(u)
 	}
-	line := e.scheme.Access(u)
-	if e.dev.Write(line) {
-		e.rebinds++
-		if !e.scheme.OnWearOut(u) {
-			e.failed = true
-			return false
-		}
+	if e.core.Write(int(e.bind[u])) {
+		return e.replace(u)
 	}
 	return true
+}
+
+// replace runs the scheme's replacement procedure for slot u, whose line
+// has just worn out, and fetches the table again, since PCD's shrink cuts
+// it. It returns false, with the engine marked failed, when the scheme is
+// out of spares.
+func (e *engine) replace(u int) bool {
+	ok := e.scheme.OnWearOut(u)
+	e.bind = e.scheme.Bindings()
+	if !ok {
+		e.failed = true
+	}
+	return ok
 }
 
 // Run executes the configured simulation until device failure or the
@@ -227,10 +234,10 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 			return generalEpoch(s, cfg.Attack, size)
 		})
 	case cfg.Leveler == nil:
-		userWrites, interrupted = runBatchedDirect(cfg, dev, e, ba)
+		userWrites, interrupted = runBatchedDirect(cfg, e, ba)
 		dev.Core().Total += userWrites
 	default:
-		userWrites, interrupted = runBatchedLeveled(cfg, dev, e, ba)
+		userWrites, interrupted = runBatchedLeveled(cfg, e, ba)
 		dev.Core().Total += userWrites
 	}
 	return buildResult(cfg, dev, userWrites, e, interrupted), dev, nil

@@ -20,14 +20,6 @@ type Stepper struct {
 	dev        *device.Device
 	e          *engine
 	userWrites int64
-
-	// logical caches LogicalLines. The logical space can change only
-	// inside a wear-out replacement (PCD's shrink, or a fault-path
-	// rebind), so it is refreshed exactly when the engine's rebind
-	// counter moves past rebinds instead of costing interface calls on
-	// every write.
-	logical int
-	rebinds int64
 }
 
 // NewStepper validates the configuration (Attack excepted) and assembles
@@ -47,9 +39,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 // newStepper assembles a fresh stack for an already validated cfg.
 func newStepper(cfg Config) *Stepper {
 	dev := device.New(cfg.Profile)
-	s := &Stepper{cfg: cfg, dev: dev, e: newEngine(cfg, dev)}
-	s.logical = s.readLogicalLines()
-	return s
+	return &Stepper{cfg: cfg, dev: dev, e: newEngine(cfg, dev.Core())}
 }
 
 type nopAttack struct{}
@@ -60,18 +50,10 @@ func (nopAttack) Next(n int) int { return 0 }
 // LogicalLines returns the current size of the logical address space the
 // caller should draw addresses from (it shrinks under PCD).
 func (s *Stepper) LogicalLines() int {
-	if s.e.rebinds != s.rebinds {
-		s.rebinds = s.e.rebinds
-		s.logical = s.readLogicalLines()
-	}
-	return s.logical
-}
-
-func (s *Stepper) readLogicalLines() int {
 	if s.cfg.Leveler != nil {
 		return s.cfg.Leveler.LogicalLines()
 	}
-	return s.cfg.Scheme.UserLines()
+	return len(s.e.bind)
 }
 
 // Failed reports whether the device has failed; further writes are

@@ -13,8 +13,8 @@ import (
 // TestStepperMatchesRunUnderUAA feeds a Stepper the UAA sweep by hand
 // and demands the full Result of the batched Run of the same stack. Under
 // PCD the sweep follows the shrinking space through LogicalLines, which
-// pins the Stepper's capacity cache, refreshed only when a wear-out
-// rebinds a slot, against the batched PCD loop.
+// pins the Stepper's capacity, the length of the engine's table, against
+// the batched PCD loop.
 func TestStepperMatchesRunUnderUAA(t *testing.T) {
 	p := endurance.Linear(16, 8, 20, 1000).Shuffled(xrand.New(1))
 	schemes := map[string]func() spare.Scheme{

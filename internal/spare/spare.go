@@ -15,10 +15,9 @@
 // A Scheme owns the binding from user-visible physical slots to device
 // lines: one live slot→line table per scheme (Bindings), updated in place
 // only inside OnWearOut when a slot's line wears out. The simulator
-// (internal/sim) indexes that table on every write — its batched loops
-// hold the slice itself, its per-write route calls Access — and calls
-// OnWearOut when a line's budget is exhausted; the scheme rebinds the
-// slot to a spare or declares the device dead.
+// (internal/sim) holds the slice itself and indexes it on every write, on
+// every route, and calls OnWearOut when a line's budget is exhausted; the
+// scheme rebinds the slot to a spare or declares the device dead.
 package spare
 
 import (
@@ -59,7 +58,8 @@ type Scheme interface {
 	// constant for every scheme except PCD, whose capacity shrinks.
 	UserLines() int
 	// Access returns the device line currently backing user slot
-	// u in [0, UserLines()): Bindings()[u].
+	// u in [0, UserLines()): Bindings()[u]. The simulator indexes
+	// Bindings instead; Access serves callers outside it.
 	Access(u int) int
 	// Bindings returns the live slot→line table, one entry per user slot:
 	// entry u is the device line backing slot u. Callers read it and never

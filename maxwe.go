@@ -42,6 +42,7 @@ import (
 	"maxwe/internal/faultinject"
 	"maxwe/internal/mapping"
 	"maxwe/internal/memo"
+	"maxwe/internal/runner"
 	"maxwe/internal/sim"
 	"maxwe/internal/spare"
 	"maxwe/internal/wearlevel"
@@ -365,6 +366,28 @@ func (s *System) RunLifetimeCtx(ctx context.Context) Result {
 		panic(fmt.Errorf("maxwe: sim rejected a validated config: %w", err))
 	}
 	return res
+}
+
+// Cell is the runner cell that computes c's lifetime under key, addressed
+// by c's Fingerprint. Each Run builds a fresh System. A canceled run
+// returns ctx's error instead of its partial result, so a sweep leaves
+// the cell incomplete rather than recording a truncated lifetime.
+func (c Config) Cell(key string) runner.Cell[Result] {
+	return runner.Cell[Result]{
+		Key:         key,
+		Fingerprint: c.Fingerprint(),
+		Run: func(ctx context.Context) (Result, error) {
+			sys, err := New(c)
+			if err != nil {
+				return Result{}, err
+			}
+			res := sys.RunLifetimeCtx(ctx)
+			if res.Interrupted {
+				return Result{}, ctx.Err()
+			}
+			return res, nil
+		},
+	}
 }
 
 // RunLifetimeWithWear is RunLifetime plus a histogram of per-line wear at

@@ -1,6 +1,7 @@
 package maxwe
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -297,5 +298,30 @@ func TestConfigFingerprintGolden(t *testing.T) {
 	tuned.Seed++
 	if tuned.Fingerprint() == want {
 		t.Fatal("different seeds share a fingerprint; the cache would serve seed 1's result for seed 2")
+	}
+}
+
+// TestConfigCell pins the runner cell of a Config: its key and
+// fingerprint, a run equal to RunLifetime, and a canceled run that
+// reports the context's error instead of a partial lifetime.
+func TestConfigCell(t *testing.T) {
+	cfg := smallConfig()
+	cell := cfg.Cell("k")
+	if cell.Key != "k" || cell.Fingerprint != cfg.Fingerprint() {
+		t.Fatalf("cell key %q fingerprint %q", cell.Key, cell.Fingerprint)
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sys.RunLifetime()
+	got, err := cell.Run(context.Background())
+	if err != nil || got != want {
+		t.Fatalf("cell run %+v, %v; want %+v", got, err, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := cell.Run(ctx); err != context.Canceled || got != (Result{}) {
+		t.Fatalf("canceled cell run %+v, %v", got, err)
 	}
 }
